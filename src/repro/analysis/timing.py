@@ -37,8 +37,8 @@ class TimeSplit:
     queries_run: float
     #: Worker processes the campaign ran with (1 = serial driver).
     workers: int = 1
-    #: Average seconds spent materialising databases (initial loads plus
-    #: derived follow-ups) — the reuse layer's phase split, per-repeat mean.
+    #: Average seconds spent materialising databases (originals plus
+    #: follow-ups) — the materialise/execute phase split, per-repeat mean.
     time_materialise: float = 0.0
     #: Average oracle-pass seconds net of materialisation (query execution
     #: and checking), per-repeat mean.
@@ -49,8 +49,8 @@ class TimeSplit:
     #: run with different ``repeats``.  Populated in both execution modes:
     #: the relate WKT memo, the geometry interner and the seed's
     #: ST_Contains prepared routing stay active with ``fast_path=False`` —
-    #: only the gated layers (broad prepared caching, auto indexes, the
-    #: clearance kernel) go quiet.
+    #: only the fast path's layers (broad prepared caching, auto indexes,
+    #: the optimised kernels) go quiet.
     cache_stats: dict[str, float] = field(default_factory=dict)
 
     @property

@@ -28,7 +28,6 @@ rest of the system talks to it through three small surfaces:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
@@ -132,15 +131,13 @@ class BackendSession(Protocol):
     time split), ``fault_plan`` must expose a ``triggered`` list (empty and
     never growing is fine for backends without fault injection).
 
-    Two further surfaces are *optional* and discovered by duck typing —
-    the reuse layer probes for them with ``getattr`` and falls back to the
-    SQL path when absent, so adapter sessions never have to implement
-    them: ``load_geometry_tables(tables, include_ids=True)`` bulk-loads
-    already-parsed geometry tables (the in-process engine's implementation
-    mirrors the CREATE/INSERT replay statement for statement), and
-    ``execute_parsed(statements)`` runs pre-parsed engine-AST statements
-    (the compiled-plan cache's entry point).  External backends like
-    ``sqlite`` expose neither and transparently run the legacy path.
+    One further surface is *optional* and discovered by duck typing: on
+    the fast path, materialisation (:func:`repro.core.oracle.load_spec`)
+    probes for ``load_geometry_tables(tables, include_ids=True)``, which
+    bulk-loads already-parsed geometry tables (the in-process engine's
+    implementation mirrors the CREATE/INSERT replay statement for
+    statement).  Sessions without it — external backends like ``sqlite`` —
+    transparently get the SQL replay.
     """
 
     dialect: Dialect
@@ -229,27 +226,11 @@ def _resolve_name(name: str) -> str:
     return key
 
 
-def _factory_accepts(factory: Callable[..., Backend], option: str) -> bool:
-    """True if the factory's signature names the (keyword) option.
-
-    Options added after a factory was written are silently dropped so
-    adapters registered against the older, narrower option set — including
-    ``**options`` passthroughs onto such adapters — keep working unchanged;
-    a factory opts in by naming the parameter.
-    """
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        return False
-    return option in parameters
-
-
 def create_backend(
     name: str,
     dialect: str = "postgis",
     bug_ids: Iterable[str] | tuple[str, ...] = (),
     fast_path: bool = True,
-    vectorized: bool = True,
 ) -> Backend:
     """Create a backend from its registered name and plain-data options.
 
@@ -258,11 +239,4 @@ def create_backend(
     worker process can rebuild the backend from the config alone.
     """
     factory, _ = _FACTORIES[_resolve_name(name)]
-    kwargs: dict[str, Any] = {
-        "dialect": dialect,
-        "bug_ids": tuple(bug_ids),
-        "fast_path": fast_path,
-    }
-    if _factory_accepts(factory, "vectorized"):
-        kwargs["vectorized"] = vectorized
-    return factory(**kwargs)
+    return factory(dialect=dialect, bug_ids=tuple(bug_ids), fast_path=fast_path)

@@ -26,20 +26,13 @@ class InProcessBackend(Backend):
         dialect: str = "postgis",
         bug_ids: tuple[str, ...] = (),
         fast_path: bool = True,
-        vectorized: bool = True,
     ):
         self.dialect = dialect
         self.bug_ids = tuple(bug_ids)
         self.fast_path = fast_path
-        self.vectorized = vectorized
 
     def capabilities(self) -> Capabilities:
         return Capabilities.from_dialect(self.dialect, backend=self.name)
 
     def open_session(self) -> BackendSession:
-        return connect(
-            self.dialect,
-            bug_ids=self.bug_ids,
-            fast_path=self.fast_path,
-            vectorized=self.vectorized,
-        )
+        return connect(self.dialect, bug_ids=self.bug_ids, fast_path=self.fast_path)

@@ -164,8 +164,7 @@ class SQLiteBackend(Backend):
         self,
         dialect: str = "postgis",
         bug_ids: tuple[str, ...] = (),
-        fast_path: bool = True,  # accepted for spec-compatibility; unused
-        vectorized: bool = True,  # likewise — SQLite plans with its own engine
+        fast_path: bool = True,  # accepted for spec-compatibility; SQLite plans itself
     ):
         self.dialect = dialect
         self.bug_ids = tuple(bug_ids)

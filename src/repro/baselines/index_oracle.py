@@ -7,13 +7,11 @@ only helps when the test case actually exercises the index — which is why it
 can in principle find the two index-related bugs but nothing else.
 
 Connections handed to this oracle should be opened with
-``connect(..., fast_path=False, vectorized=False)``: its whole point is to
-compare the two scan paths of the *seed* execution engine, so the
-fast-path layer's envelope prefilters and auto-built indexes — and the
-batch executor's columnar pipelines — must stay out of the picture.
-(``IndexToggleOracle`` enforces this defensively by switching any
-fast-path- or vectorization-enabled connection its factory returns back to
-the reference execution mode.)
+``connect(..., fast_path=False)``: its whole point is to compare the two
+scan paths of the *reference* execution engine, so the fast path's envelope
+prefilters, auto-built indexes and batch pipelines must stay out of the
+picture.  (``IndexToggleOracle`` enforces this defensively by switching any
+fast-path connection its factory returns back to the reference path.)
 """
 
 from __future__ import annotations
@@ -68,18 +66,9 @@ class IndexToggleOracle:
 
     def _materialise(self, spec: DatabaseSpec, geometry_column: str = "g") -> SpatialDatabase:
         database = self.database_factory()
-        if getattr(database, "fast_path", False):
-            # The Index oracle compares the seed engine's two scan paths;
-            # disable the fast-path planner features on this connection so
-            # the only index machinery in play is the one it toggles itself.
-            database.fast_path = False
-            database.executor.fast_path = False
-            database.registry.fast_path = False
-        if getattr(database, "vectorized", False):
-            # Same reasoning for the batch executor: both scan paths must be
-            # the seed engine's row-at-a-time plans, not batch pipelines.
-            database.vectorized = False
-            database.executor.vectorized = False
+        # The Index oracle compares the reference engine's two scan paths;
+        # the only index machinery in play must be the one it toggles itself.
+        database.fast_path = False
         for statement in spec.create_statements():
             database.execute(statement)
         for table in spec.table_names():

@@ -131,28 +131,10 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--no-fast-path",
         action="store_true",
         help=(
-            "disable the execution fast-path layer (prepared-predicate "
-            "caching, auto-built STR indexes, integer clearance kernel); "
-            "the reference configuration of the fast-path self-checks"
-        ),
-    )
-    parser.add_argument(
-        "--no-vectorized",
-        action="store_true",
-        help=(
-            "disable the vectorized batch execution core (numpy geometry "
-            "kernels and the batch-operator SELECT pipeline); the scalar "
-            "reference side of the batch-vs-scalar equivalence suite"
-        ),
-    )
-    parser.add_argument(
-        "--no-reuse",
-        action="store_true",
-        help=(
-            "disable the materialization/plan reuse layer (affine-derived "
-            "follow-up databases, direct bulk-load of parsed geometry, "
-            "compiled-plan cache); the legacy reference side of the reuse "
-            "equivalence suite"
+            "run the scalar reference path instead of the optimised one "
+            "(no prepared-predicate caching, STR prefilters, integer "
+            "clearance, numpy kernels, batch SELECT pipelines or bulk-load); "
+            "the reference side of the optimised-vs-reference self-checks"
         ),
     )
     parser.add_argument(
@@ -291,7 +273,6 @@ def _print_reduced_discrepancies(result) -> None:
         dialect=config.dialect,
         bug_ids=config.resolved_bug_ids(),
         fast_path=config.fast_path,
-        vectorized=config.vectorized,
     )
     for discrepancy in result.discrepancies:
         if getattr(discrepancy.query, "kind", "scalar") != "scalar":
@@ -302,7 +283,7 @@ def _print_reduced_discrepancies(result) -> None:
             scenario = get_scenario(discrepancy.scenario)
         except KeyError:
             pass
-        oracle = AEIOracle(backend=backend, fast_path=config.fast_path)
+        oracle = AEIOracle(backend=backend)
         reducer = TestCaseReducer(oracle, scenario=scenario)
         spec = DatabaseSpec.from_statements(discrepancy.original_statements)
         case = reducer.minimize(spec, discrepancy.query, discrepancy.transformation)
@@ -404,8 +385,6 @@ def main(argv: list[str] | None = None) -> int:
         queries_per_round=arguments.queries,
         use_derivative_strategy=not arguments.random_shape_only,
         fast_path=not arguments.no_fast_path,
-        vectorized=not arguments.no_vectorized,
-        reuse=not arguments.no_reuse,
         scheduler=arguments.scheduler,
         trace_file=arguments.trace_file,
         seed=arguments.seed,
@@ -485,18 +464,10 @@ def _print_report(result, arguments) -> None:
             f"{prepared_misses} misses, relate {relate_hits} hits / "
             f"{relate_misses} misses"
         )
-    if result.config.reuse and result.cache_stats:
-        derived = result.cache_stats.get("reuse_derived_databases", 0)
-        direct = result.cache_stats.get("reuse_direct_databases", 0)
-        fallback = result.cache_stats.get("reuse_fallback_databases", 0)
-        plan_hits = result.cache_stats.get("plan_hits", 0)
-        plan_misses = result.cache_stats.get("plan_misses", 0)
-        print(
-            f"Reuse layer: {derived} derived / {direct} direct / "
-            f"{fallback} fallback databases, plans {plan_hits} hits / "
-            f"{plan_misses} misses; materialise {result.materialise_seconds:.3f}s, "
-            f"execute {result.execute_seconds:.3f}s"
-        )
+    print(
+        f"Phases: materialise {result.materialise_seconds:.3f}s, "
+        f"execute {result.execute_seconds:.3f}s"
+    )
     if result.queries_by_scenario:
         print("\nQueries and findings per scenario:")
         findings_by_scenario: dict[str, int] = {}

@@ -18,24 +18,6 @@ from repro.geometry.model import Geometry
 from repro.functions.affine_ops import apply_matrix
 
 
-def has_integral_coordinates(geometry: Geometry) -> bool:
-    """Whether every ordinate is an integer (denominator 1).
-
-    The exactness guard of the reuse layer's derived materialisation: the
-    WKT writer renders integral ordinates exactly (``format_number``
-    round-trips them byte-for-byte), while a non-integral Fraction goes
-    through a lossy float ``repr``.  An integer transformation matrix maps
-    an integral geometry to an integral geometry, so a derived follow-up
-    may skip the WKT round-trip only while this predicate holds for every
-    transformed geometry — otherwise the oracle falls back to the legacy
-    serialise/re-parse path, whose rounding then matches byte for byte.
-    """
-    return all(
-        coordinate.x.denominator == 1 and coordinate.y.denominator == 1
-        for coordinate in geometry.coordinates()
-    )
-
-
 @dataclass(frozen=True)
 class AffineTransformation:
     """A 2D affine transformation in homogeneous-matrix form (Equation 4)."""

@@ -37,10 +37,8 @@ from repro.core.scheduler import (
     resolve_scheduler_name,
     scenario_arm,
 )
-from repro.core.reuse import reuse_stats, set_reuse
 from repro.core.trace import CampaignTrace
 from repro.engine.database import SpatialDatabase, connect
-from repro.engine.plancache import PlanCache
 from repro.engine.dialects import default_fault_profile
 from repro.oracles import AEI_ORACLE, OracleFinding, get_oracle, resolve_oracle_names
 from repro.scenarios import resolve_scenarios
@@ -100,33 +98,20 @@ class CampaignConfig:
     #: ``True`` enables the derivative strategy (Algorithm 1); ``False`` is
     #: the random-shape-only RSG baseline.
     use_derivative_strategy: bool = True
-    #: ``True`` enables the gated execution fast-path layers: prepared
-    #: caching of the full indexable-predicate family, auto-built STR index
-    #: prefilters on oracle-materialised databases, and the integer
-    #: clearance kernel.  Defaults on; ``False`` is the reference side of
-    #: the fast-path equivalence self-checks and the right setting for the
-    #: Index baseline oracle.  (The always-pure layers — interned parsing,
-    #: per-instance wkt/envelope memos, the relate WKT memo, and the seed's
-    #: ST_Contains prepared routing — are not gated; results are identical
-    #: in both modes either way, which the equivalence suite asserts.)
+    #: The one speed switch.  ``True`` (the default) runs the optimised
+    #: path: prepared caching of the full indexable-predicate family,
+    #: auto-built STR index prefilters on oracle-materialised databases, the
+    #: integer clearance kernel, the numpy geometry kernels
+    #: (:mod:`repro.geometry.columnar`) with batch SELECT pipelines
+    #: (:mod:`repro.engine.vectorized`), and direct bulk-load of parsed
+    #: geometry into sessions that support it.  ``False`` (the CLI's
+    #: ``--no-fast-path``) runs the scalar reference: row-at-a-time
+    #: execution, ``Fraction`` kernels and CREATE/INSERT SQL replay.  The
+    #: optimised-vs-reference equivalence suite holds the two modes
+    #: finding-for-finding identical.  (The always-pure layers — interned
+    #: parsing, per-instance wkt/envelope memos, the relate WKT memo, and the
+    #: seed's ST_Contains prepared routing — run in both modes.)
     fast_path: bool = True
-    #: ``True`` enables the vectorized batch execution core: the numpy
-    #: geometry kernels (:mod:`repro.geometry.columnar`) and the plan-level
-    #: batch compiler (:mod:`repro.engine.vectorized`) that lowers SELECTs
-    #: into scan → batch-prefilter → residual-exact-predicate pipelines.
-    #: ``False`` (the CLI's ``--no-vectorized``) runs the scalar
-    #: row-at-a-time reference path; the batch-vs-scalar equivalence suite
-    #: holds the two modes finding-for-finding identical.
-    vectorized: bool = True
-    #: ``True`` enables the cross-round reuse layer: follow-up databases
-    #: derived from parsed originals (no WKT round-trip), direct bulk-load
-    #: of parsed geometry tables into sessions that support it, and the
-    #: campaign-lifetime compiled-plan cache
-    #: (:mod:`repro.engine.plancache`).  ``False`` (the CLI's
-    #: ``--no-reuse``) replays the legacy render/parse/execute path end to
-    #: end; the reuse equivalence suite holds the two modes
-    #: finding-for-finding identical.
-    reuse: bool = True
     #: Round-budget allocation policy.  ``"static"`` (the default) keeps the
     #: historical even :func:`~repro.core.oracle.allocate_query_budget`
     #: split with its rotating remainder — byte-for-byte the pre-scheduler
@@ -234,11 +219,11 @@ class CampaignResult:
     #: Time spent executing statements inside the SDBMS (summed over shards
     #: for merged results, i.e. aggregate engine time, not wall clock).
     sdbms_seconds: float = 0.0
-    #: Wall time spent materialising databases (initial loads plus derived
-    #: follow-ups), summed over shards like ``sdbms_seconds``.
+    #: Wall time spent materialising databases (originals plus follow-ups),
+    #: summed over shards like ``sdbms_seconds``.
     materialise_seconds: float = 0.0
     #: Wall time of the oracle passes minus materialisation — the
-    #: query-execution share of the reuse layer's phase split.
+    #: query-execution share of the materialise/execute phase split.
     execute_seconds: float = 0.0
     #: Which shard produced this result (0 for serial runs).
     shard_index: int = 0
@@ -423,7 +408,6 @@ class TestingCampaign:
             dialect=self.config.dialect,
             bug_ids=self._bug_ids(),
             fast_path=self.config.fast_path,
-            vectorized=self.config.vectorized,
         )
         if self._bug_ids() and not self.backend.capabilities().supports_fault_injection:
             # A release emulation needs the fault layer; running it on a
@@ -449,11 +433,6 @@ class TestingCampaign:
         #: learns from its own round stream and the per-arm statistics
         #: merge by summation (see docs/SCHEDULER.md).
         self.scheduler: BanditScheduler | None = None
-        #: campaign-lifetime compiled-plan cache (the reuse layer's query
-        #: side); handed to every round's AEI oracle so a query shape is
-        #: parsed once per campaign, not once per execution.  Inert when
-        #: the reuse flag is off — the oracle checks the toggle per pass.
-        self.plan_cache = PlanCache()
         capabilities = self.backend.capabilities()
         if AEI_ORACLE in self.active_oracles:
             self._scenario_arm_names = tuple(
@@ -495,7 +474,6 @@ class TestingCampaign:
                 dialect=self.config.dialect,
                 bug_ids=(),
                 fast_path=self.config.fast_path,
-                vectorized=self.config.vectorized,
             )
 
     # ------------------------------------------------------------- plumbing
@@ -547,21 +525,12 @@ class TestingCampaign:
             sink=self.trace_sink,
         )
 
-        # The integer clearance kernel is process-global (it lives below the
-        # per-connection layers); scope it to this run so fast-path-off
-        # campaigns measure the seed execution end to end.
-        from repro.geometry.columnar import set_vectorized_kernels
-        from repro.topology.noding import set_fast_clearance
+        # The geometry kernels live below the per-connection layers, so their
+        # half of the fast path is a process-global switch; scope it to this
+        # run so --no-fast-path campaigns run the reference code end to end.
+        from repro.geometry.columnar import set_fast_kernels
 
-        previous_clearance = set_fast_clearance(self.config.fast_path)
-        # The numpy geometry kernels are process-global like the clearance
-        # kernel; scope them to this run so --no-vectorized campaigns run
-        # the scalar reference geometry code end to end.
-        previous_vectorized = set_vectorized_kernels(self.config.vectorized)
-        # The reuse layer spans the oracle, the sessions and the plan cache;
-        # like the two switches above it is process-global and scoped to the
-        # run so --no-reuse campaigns replay the legacy path end to end.
-        previous_reuse = set_reuse(self.config.reuse)
+        previous_kernels = set_fast_kernels(self.config.fast_path)
         try:
             while True:
                 elapsed = time.perf_counter() - started
@@ -576,9 +545,7 @@ class TestingCampaign:
                     # checkpoint taken here is a consistent resume point.
                     self.round_hook(self, result)
         finally:
-            set_fast_clearance(previous_clearance)
-            set_vectorized_kernels(previous_vectorized)
-            set_reuse(previous_reuse)
+            set_fast_kernels(previous_kernels)
             trace.close()
 
         result.total_seconds = time.perf_counter() - started
@@ -674,10 +641,8 @@ class TestingCampaign:
         oracle = AEIOracle(
             tracked_factory,
             rng=rng,
-            fast_path=self.config.fast_path,
             capabilities=self.backend.capabilities(),
             reference_backend=self.reference_backend,
-            plan_cache=self.plan_cache,
         )
         global_caches_before = self._global_cache_stats()
         materialise_at_start = result.materialise_seconds
@@ -931,29 +896,21 @@ class TestingCampaign:
     def _global_cache_stats(self) -> dict[str, int]:
         """Snapshot of the process-level cache counters.
 
-        Relate memo and WKT interner (both process-global), the campaign's
-        own compiled-plan cache, and the reuse-layer materialisation
-        counters — everything the round folds in as a before/after delta.
+        Relate memo and WKT interner (both process-global) — what the round
+        folds in as a before/after delta.
         """
         from repro.geometry.cache import geometry_cache_stats
         from repro.topology.relate import relate_cache_stats
 
         relate_stats = relate_cache_stats()
         interner = geometry_cache_stats()
-        plans = self.plan_cache.stats()
-        snapshot = {
+        return {
             "relate_hits": relate_stats["hits"],
             "relate_misses": relate_stats["misses"],
             "interner_hits": interner["hits"],
             "interner_misses": interner["misses"],
             "interner_evictions": interner["evictions"],
-            "plan_hits": plans["hits"],
-            "plan_misses": plans["misses"],
-            "plan_evictions": plans["evictions"],
         }
-        for key, value in reuse_stats().items():
-            snapshot[f"reuse_{key}"] = value
-        return snapshot
 
     def _collect_cache_stats(
         self,

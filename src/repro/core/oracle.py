@@ -45,14 +45,11 @@ from typing import Any
 
 from repro.errors import EngineCrash, ReproError, SemanticGeometryError
 from repro.geometry import load_wkt
-from repro.geometry.cache import intern_parsed
-from repro.geometry.model import Geometry
 from repro.backends.base import Backend, Capabilities
 from repro.backends.differential import BackendDivergence, CrossBackendComparator
-from repro.core.affine import AffineTransformation, has_integral_coordinates
+from repro.core.affine import AffineTransformation
 from repro.core.canonical import canonicalize
 from repro.core.generator import DatabaseSpec
-from repro.core.reuse import record_materialisation, reuse_enabled
 from repro.engine.database import SpatialDatabase
 from repro.scenarios import Scenario, ScenarioContext, resolve_scenarios
 from repro.scenarios.base import TransformationFamily
@@ -130,8 +127,35 @@ class OracleOutcome:
     #: engine time spent inside the reference backend.
     reference_seconds: float = 0.0
     #: wall time spent building databases (spec derivation + loading), as
-    #: opposed to running scenario queries — the reuse layer's target phase.
+    #: opposed to running scenario queries.
     materialise_seconds: float = 0.0
+
+
+def load_spec(
+    session: Any, spec: DatabaseSpec, capabilities: Capabilities | None = None
+) -> None:
+    """Create a spec's tables and rows (ids included) in a fresh session.
+
+    The one materialisation path of every oracle.  On a fast-path session
+    exposing ``load_geometry_tables`` the interner's parsed geometries are
+    loaded directly — storage identical to the SQL replay, minus the round
+    trip — and the session then builds its STR indexes eagerly (when the
+    backend supports them), so scenario joins start with warm envelope
+    prefilters.  Every other session gets the CREATE/INSERT statements
+    replayed.
+    """
+    fast = getattr(session, "fast_path", False)
+    loader = getattr(session, "load_geometry_tables", None) if fast else None
+    if loader is not None:
+        loader(
+            {table: [load_wkt(wkt) for wkt in wkts] for table, wkts in spec.tables.items()},
+            include_ids=True,
+        )
+    else:
+        for statement in spec.create_statements(include_ids=True):
+            session.execute(statement)
+    if fast and (capabilities is None or capabilities.supports_auto_indexes):
+        session.build_auto_indexes()
 
 
 def allocate_query_budget(
@@ -164,11 +188,9 @@ class AEIOracle:
         database_factory=None,
         rng: random.Random | None = None,
         canonicalize_followup: bool = True,
-        fast_path: bool = True,
         backend: Backend | None = None,
         capabilities: Capabilities | None = None,
         reference_backend: Backend | None = None,
-        plan_cache=None,
     ):
         """``database_factory`` returns a *fresh* connection to the system
         under test each time it is called (the oracle needs one SDB1 plus
@@ -185,19 +207,11 @@ class AEIOracle:
         The comparator consumes no randomness, so enabling it does not
         perturb the AEI round stream.
 
-        With ``fast_path`` on, every materialised database gets STR
-        bulk-loaded R-tree indexes on its geometry columns right after
-        construction (followup databases included), so the scenario joins
-        start with warm envelope prefilters.  Disable it to reproduce the
-        seed execution behaviour exactly — e.g. for the differential
-        self-check suite or when driving the Index baseline oracle, whose
-        seqscan/index toggling must stay the only index machinery in play.
-
-        ``plan_cache`` (a :class:`repro.engine.plancache.PlanCache`, shared
-        across rounds by the campaign) lets scenario queries replay
-        compiled statements instead of rendering and re-parsing SQL per
-        execution; it only engages while the reuse layer is switched on
-        and the session supports ``execute_parsed``.
+        Connections on the fast path are bulk-loaded from parsed geometry
+        and get STR-packed R-tree indexes on their geometry columns right
+        after construction (followup databases included), so the scenario
+        joins start with warm envelope prefilters; reference-path
+        connections replay the CREATE/INSERT SQL (see :func:`load_spec`).
         """
         if database_factory is None:
             if backend is None:
@@ -211,8 +225,6 @@ class AEIOracle:
         self.reference_backend = reference_backend
         self.rng = rng or random.Random()
         self.canonicalize_followup = canonicalize_followup
-        self.fast_path = fast_path
-        self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------ steps
     def build_followup_spec(
@@ -241,90 +253,15 @@ class AEIOracle:
             geometry = canonicalize(geometry)
         return transformation.apply(geometry).wkt
 
-    def derive_followup(
-        self,
-        spec: DatabaseSpec,
-        transformation: AffineTransformation,
-        canonicalize_spec: bool | None = None,
-    ) -> tuple[DatabaseSpec, dict[str, list[Geometry]] | None]:
-        """The follow-up spec plus its parsed tables (the reuse layer).
-
-        Runs the same canonicalize-then-transform pipeline as
-        :meth:`build_followup_spec` but keeps the derived ``Geometry``
-        objects so materialisation can bulk-load them directly instead of
-        re-parsing the WKT it just serialized.  Direct loading is only
-        sound when every derived geometry round-trips exactly through WKT
-        (all-integral coordinates — see
-        :func:`repro.core.affine.has_integral_coordinates`);
-        otherwise the parsed side is ``None`` and the caller replays the
-        spec through SQL like the legacy path.  Round-trippable objects are
-        interned under their dumped text so later parses of the same WKT
-        (query literals, finding deduplication) share the instance.
-        """
-        if canonicalize_spec is None:
-            canonicalize_spec = self.canonicalize_followup
-        followup = DatabaseSpec(tables={})
-        parsed: dict[str, list[Geometry]] = {}
-        exact = True
-        for table, wkts in spec.tables.items():
-            texts: list[str] = []
-            geometries: list[Geometry] = []
-            for wkt in wkts:
-                geometry = load_wkt(wkt)
-                if canonicalize_spec:
-                    geometry = canonicalize(geometry)
-                derived = transformation.apply(geometry)
-                text = derived.wkt
-                texts.append(text)
-                if exact:
-                    if has_integral_coordinates(derived):
-                        geometries.append(intern_parsed(text, derived))
-                    else:
-                        exact = False
-            followup.tables[table] = texts
-            if exact:
-                parsed[table] = geometries
-        return followup, (parsed if exact else None)
-
-    def materialise(
-        self,
-        spec: DatabaseSpec,
-        parsed: dict[str, list[Geometry]] | None = None,
-    ) -> SpatialDatabase:
+    def materialise(self, spec: DatabaseSpec) -> SpatialDatabase:
         """Create the tables and rows of a spec in a fresh connection.
 
         Rows carry stable ids (``include_ids``) so row-list scenarios can
-        compare results by identity.  With the reuse layer on and a session
-        that supports bulk loading, the parsed geometries (``parsed`` from
-        :meth:`derive_followup`, or the spec's WKTs through the interner)
-        are loaded directly — statement for statement identical to
-        executing ``create_statements``, minus the SQL round-trip.
+        compare results by identity; :func:`load_spec` chooses between
+        bulk-load and SQL replay.
         """
         database = self.database_factory()
-        loader = (
-            getattr(database, "load_geometry_tables", None) if reuse_enabled() else None
-        )
-        if loader is not None:
-            if parsed is None:
-                tables = {
-                    table: [load_wkt(wkt) for wkt in wkts]
-                    for table, wkts in spec.tables.items()
-                }
-                record_materialisation("direct")
-            else:
-                tables = parsed
-                record_materialisation("derived")
-            loader(tables, include_ids=True)
-        else:
-            record_materialisation("fallback")
-            for statement in spec.create_statements(include_ids=True):
-                database.execute(statement)
-        if (
-            self.fast_path
-            and getattr(database, "fast_path", False)
-            and (self.capabilities is None or self.capabilities.supports_auto_indexes)
-        ):
-            database.build_auto_indexes()
+        load_spec(database, spec, self.capabilities)
         return database
 
     # ------------------------------------------------------------------- run
@@ -404,20 +341,12 @@ class AEIOracle:
             group_transformation = transformation or family.sample(self.rng)
             materialise_started = time.perf_counter()
             try:
-                if reuse_enabled():
-                    followup_spec, followup_parsed = self.derive_followup(
-                        spec,
-                        group_transformation,
-                        canonicalize_spec=canonicalize_spec and self.canonicalize_followup,
-                    )
-                else:
-                    followup_spec = self.build_followup_spec(
-                        spec,
-                        group_transformation,
-                        canonicalize_spec=canonicalize_spec and self.canonicalize_followup,
-                    )
-                    followup_parsed = None
-                followup = self.materialise(followup_spec, parsed=followup_parsed)
+                followup_spec = self.build_followup_spec(
+                    spec,
+                    group_transformation,
+                    canonicalize_spec=canonicalize_spec and self.canonicalize_followup,
+                )
+                followup = self.materialise(followup_spec)
             except EngineCrash as crash:
                 outcome.crashes.append(
                     CrashReport(
@@ -489,32 +418,11 @@ class AEIOracle:
             groups.setdefault(key, []).append(scenario)
         return groups
 
+    @staticmethod
     def _execute_query(
-        self,
-        database: SpatialDatabase,
-        query: Any,
-        ir: Any,
-        render,
-        capabilities: Capabilities | None,
-        use_plan: bool,
+        database: SpatialDatabase, query: Any, render, capabilities: Capabilities | None
     ) -> Any:
-        """Run one side of a scenario query, via the plan cache when possible.
-
-        The cached path binds the query's literals into the compiled
-        statement and executes it through the same executor entry point a
-        fresh parse would use; rendering SQL text is skipped entirely.  Any
-        shape the cache refuses (or a query without an IR) falls back to
-        the legacy render-and-parse path — the two are result-identical by
-        the plan cache's build-time verification.
-        """
-        if use_plan and ir is not None:
-            plan = self.plan_cache.prepare(ir, capabilities)
-            if plan is not None:
-                result = plan.run(database, ir)
-                if result is not None:
-                    if query.kind == "rows":
-                        return tuple(tuple(row) for row in result.rows)
-                    return result.scalar()
+        """Run one side of a scenario query, rendered for the target."""
         sql = render(capabilities)
         if query.kind == "rows":
             return tuple(tuple(row) for row in database.query_rows(sql))
@@ -535,12 +443,6 @@ class AEIOracle:
         capabilities: Capabilities | None = None,
     ) -> None:
         queries = scenario.build_queries(spec, context, budget)
-        use_plans = (
-            self.plan_cache is not None
-            and reuse_enabled()
-            and hasattr(original, "execute_parsed")
-            and hasattr(followup, "execute_parsed")
-        )
         for query in queries:
             outcome.queries_run += 1
             outcome.queries_by_scenario[scenario.name] = (
@@ -550,12 +452,10 @@ class AEIOracle:
             before_followup = len(followup.fault_plan.triggered)
             try:
                 result_original: Any = self._execute_query(
-                    original, query, query.ir_original, query.render_original,
-                    capabilities, use_plans,
+                    original, query, query.render_original, capabilities
                 )
                 result_followup: Any = self._execute_query(
-                    followup, query, query.ir_followup, query.render_followup,
-                    capabilities, use_plans,
+                    followup, query, query.render_followup, capabilities
                 )
             except EngineCrash as crash:
                 outcome.crashes.append(

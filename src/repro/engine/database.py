@@ -47,14 +47,11 @@ class SpatialDatabase:
         fault_plan: FaultPlan | None = None,
         use_default_faults: bool = False,
         fast_path: bool = True,
-        vectorized: bool = True,
     ):
         self.dialect = get_dialect(dialect) if isinstance(dialect, str) else dialect
         if fault_plan is None and use_default_faults:
             fault_plan = FaultPlan.from_ids(default_fault_profile(self.dialect.name))
         self.fault_plan = fault_plan or FaultPlan.none()
-        self.fast_path = fast_path
-        self.vectorized = vectorized
         self.prepared_cache = PreparedGeometryCache(
             buggy_collection_repeat=any(
                 bug.mechanism == "prepared_collection_false" for bug in self.fault_plan.active_bugs
@@ -64,34 +61,24 @@ class SpatialDatabase:
             self.dialect, self.fault_plan, self.prepared_cache, fast_path=fast_path
         )
         self.state = SpatialDatabaseState()
-        self.executor = Executor(
-            self.state, self.registry, self.fault_plan, fast_path=fast_path, vectorized=vectorized
-        )
+        self.executor = Executor(self.state, self.registry, self.fault_plan, fast_path=fast_path)
         self.stats = ExecutionStats()
+
+    @property
+    def fast_path(self) -> bool:
+        """Whether this connection runs the optimised execution path."""
+        return self.executor.fast_path
+
+    @fast_path.setter
+    def fast_path(self, enabled: bool) -> None:
+        # the executor (batch pipelines, prefilters) and the registry
+        # (prepared routing) read the one switch
+        self.executor.fast_path = self.registry.fast_path = bool(enabled)
 
     # ------------------------------------------------------------------ API
     def execute(self, sql: str) -> ResultSet:
         """Execute a script of one or more statements; returns the last result."""
         statements = parse_script(sql)
-        result = ResultSet(command="EMPTY")
-        started = time.perf_counter()
-        try:
-            for statement in statements:
-                self.stats.statements += 1
-                result = self.executor.execute(statement)
-        finally:
-            self.stats.seconds_in_engine += time.perf_counter() - started
-        return result
-
-    def execute_parsed(self, statements: list) -> ResultSet:
-        """Execute pre-parsed statements; returns the last result.
-
-        The reuse layer's plan cache parses each statement shape once per
-        campaign and replays the compiled AST with rebound literals; this
-        entry point runs such statements with exactly :meth:`execute`'s
-        accounting (statement counter, engine-seconds timer) minus the
-        parse, which :meth:`execute` performs outside the timer anyway.
-        """
         result = ResultSet(command="EMPTY")
         started = time.perf_counter()
         try:
@@ -108,7 +95,7 @@ class SpatialDatabase:
         geometry_column: str = "g",
         include_ids: bool = True,
     ) -> None:
-        """Bulk-load already-parsed geometry tables (the reuse layer).
+        """Bulk-load already-parsed geometry tables (fast-path materialisation).
 
         Mirrors executing ``DatabaseSpec.create_statements`` statement for
         statement — same table/column names and lower-casing, same 1-based
@@ -205,7 +192,6 @@ class SpatialDatabase:
             self.dialect,
             FaultPlan(self.fault_plan.active_bugs),
             fast_path=self.fast_path,
-            vectorized=self.vectorized,
         )
 
 
@@ -214,7 +200,6 @@ def connect(
     bug_ids: Iterable[str] | None = None,
     emulate_release_under_test: bool = False,
     fast_path: bool = True,
-    vectorized: bool = True,
 ) -> SpatialDatabase:
     """Open an emulated SDBMS connection.
 
@@ -222,19 +207,15 @@ def connect(
     ``emulate_release_under_test=True`` instead activates the default profile
     for the dialect (every catalog bug the paper reported against that
     system), which is what the testing-campaign experiments use.
-    ``fast_path=False`` disables the execution fast-path layer (prepared
-    caching beyond ST_Contains and automatic envelope prefilters) — the
-    reference configuration for the differential self-checks and for the
-    Index baseline oracle.  ``vectorized=False`` additionally routes every
-    SELECT through the scalar row-at-a-time interpreter instead of the
-    batch-operator pipeline.
+    ``fast_path=False`` selects the reference execution path: scalar
+    row-at-a-time SELECTs, prepared caching for ST_Contains only and no
+    automatic envelope prefilters — the reference side of the
+    optimised-vs-reference self-checks and the mode the Index baseline
+    oracle runs in.
     """
     if bug_ids is not None:
         plan = FaultPlan.from_ids(bug_ids)
-        return SpatialDatabase(dialect, plan, fast_path=fast_path, vectorized=vectorized)
+        return SpatialDatabase(dialect, plan, fast_path=fast_path)
     return SpatialDatabase(
-        dialect,
-        use_default_faults=emulate_release_under_test,
-        fast_path=fast_path,
-        vectorized=vectorized,
+        dialect, use_default_faults=emulate_release_under_test, fast_path=fast_path
     )

@@ -72,20 +72,14 @@ class Executor:
         registry: FunctionRegistry,
         fault_plan: FaultPlan,
         fast_path: bool = True,
-        vectorized: bool = True,
     ):
         self.database = database
         self.registry = registry
         self.fault_plan = fault_plan
         self.fast_path = fast_path
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------ statements
     def execute(self, statement: ast.Statement) -> ResultSet:
-        # The compiled-plan cache replays one statement object many times
-        # with literals rebound in place between calls; execution must
-        # therefore never mutate the statement tree or memoize
-        # literal-derived state on it.
         if isinstance(statement, ast.CreateTable):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateIndex):
@@ -167,7 +161,7 @@ class Executor:
 
     # ---------------------------------------------------------------- select
     def _execute_select(self, statement: ast.Select) -> ResultSet:
-        if self.vectorized:
+        if self.fast_path:
             plan = compile_select(self, statement)
             if plan is not None:
                 return plan.execute()

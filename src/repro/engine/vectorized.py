@@ -49,15 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def compile_select(executor: "Executor", statement: ast.Select) -> "BatchSelectPlan | None":
     """Lower a ``Select`` into a batch plan, or ``None`` to run scalar.
 
-    Compilation is refused when the numpy kernels are unavailable or
-    disabled (``--no-vectorized``) and for the degenerate FROM-less select,
-    where there is nothing to batch.
-
-    The reuse layer's compiled-plan cache replays the *same* ``statement``
-    object across executions with its literal values rebound in place
-    between runs, so nothing derived from a literal's value may be
-    memoized on (or keyed by) the statement — every threshold and constant
-    below is re-read per execution.
+    The executor only compiles on the fast path.  Compilation is refused
+    when the numpy kernels are unavailable and for the degenerate FROM-less
+    select, where there is nothing to batch.
     """
     if not vectorized_kernels_enabled():
         return None
@@ -159,7 +153,7 @@ class BatchSelectPlan:
             # A user-created index (or the seqscan-off auto probe) must keep
             # the scalar code path's exact semantics.
             return None
-        if not executor.fast_path or not rows:
+        if not rows:
             return rows
         threshold = None
         probe = executor._constant_probe(statement.where, binding)
@@ -227,7 +221,7 @@ class BatchSelectPlan:
         lower-bounds the geometry distance.
         """
         executor = self.executor
-        if not executor.fast_path or join.condition is None:
+        if join.condition is None:
             return None
         if not isinstance(join.item, ast.TableRef):
             return None

@@ -76,31 +76,6 @@ def load_wkt_interned(text: str) -> Geometry:
     return geometry
 
 
-def intern_parsed(text: str, geometry: Geometry) -> Geometry:
-    """Register an already-parsed geometry under its serialized text.
-
-    The reuse layer derives follow-up geometries by transforming parsed
-    originals; registering the derived object under its dumped WKT lets the
-    engine's later parses of that text (INSERT replay, query literals,
-    deduplication) share the instance instead of re-parsing.  Callers must
-    guarantee ``geometry`` is value-identical to ``load_wkt(text)`` — the
-    derivation path only interns geometries whose coordinates round-trip
-    exactly (integral, see ``repro.core.oracle``).
-
-    Returns the canonical shared instance: if ``text`` is already interned
-    the existing object wins, preserving the identity-sharing the rest of
-    the process may already rely on.
-    """
-    cached = _WKT_INTERN.get(text)
-    if cached is not None:
-        _STATS["hits"] += 1
-        _WKT_INTERN.move_to_end(text)
-        return cached
-    _STATS["misses"] += 1
-    _remember(_WKT_INTERN, text, geometry)
-    return geometry
-
-
 def load_hex_wkb_interned(text: str) -> Geometry:
     """Parse hexadecimal WKB through the interning table (see above)."""
     from repro.geometry.wkb import load_hex_wkb as _parse_hex_wkb

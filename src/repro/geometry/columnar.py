@@ -23,9 +23,9 @@ counterparts — the float layer only prunes work, it never decides a close
 call.  NaN/inf propagation is safe by construction: any non-finite value
 fails the certainty comparison and takes the exact fallback.
 
-Everything is gated behind a process-wide switch
-(:func:`set_vectorized_kernels`, mirroring the fast-clearance toggle in
-:mod:`repro.topology.noding`) so campaigns can run batch-vs-scalar
+Everything is gated behind the fast path's process-wide switch
+(:func:`set_fast_kernels`, which also gates the integer clearance kernel of
+:mod:`repro.topology.noding`) so campaigns can run optimised-vs-reference
 differentially, and degrades to the scalar implementations when numpy is
 not importable.
 """
@@ -54,27 +54,37 @@ _TINY = 1e-300
 Segment = tuple[Coordinate, Coordinate]
 
 # ---------------------------------------------------------------------------
-# Process-wide switch (CampaignConfig.vectorized / --no-vectorized)
+# Process-wide switch (CampaignConfig.fast_path / --no-fast-path)
 # ---------------------------------------------------------------------------
 
-_VECTORIZED = True
+_FAST_KERNELS = True
 
 
-def set_vectorized_kernels(enabled: bool) -> bool:
-    """Toggle the batch kernels; returns the previous setting."""
-    global _VECTORIZED
-    previous = _VECTORIZED
-    _VECTORIZED = bool(enabled)
+def set_fast_kernels(enabled: bool) -> bool:
+    """Toggle the fast path's process-global geometry kernels.
+
+    One switch covers the numpy batch kernels below, the integer clearance
+    kernel and the relate descriptor memo; ``TestingCampaign.run`` scopes it
+    to ``CampaignConfig.fast_path``.  Returns the previous setting.
+    """
+    global _FAST_KERNELS
+    previous = _FAST_KERNELS
+    _FAST_KERNELS = bool(enabled)
     return previous
+
+
+def fast_kernels_enabled() -> bool:
+    """Whether the fast path's process-global kernels are switched on."""
+    return _FAST_KERNELS
 
 
 def vectorized_kernels_enabled() -> bool:
     """Whether the float-filtered batch kernels are active.
 
-    False when toggled off (``--no-vectorized``) *or* when numpy is not
-    available — callers never need to distinguish the two.
+    False when the fast path is off (``--no-fast-path``) *or* when numpy is
+    not available — callers never need to distinguish the two.
     """
-    return _VECTORIZED and np is not None
+    return _FAST_KERNELS and np is not None
 
 
 _KERNEL_STATS = {
@@ -631,7 +641,7 @@ def envelope_float_box(envelope) -> tuple[float, float, float, float]:
     ``(min_x_lo, min_y_lo, max_x_hi, max_y_hi)`` with each bound pushed
     outward by the certified conversion error, so a float comparison can
     only ever *keep* a candidate the exact bounds would keep.  Envelopes
-    are immutable, and the reuse layer's geometry interner shares geometry
+    are immutable, and the geometry interner shares geometry
     instances — and therefore their envelope memos — across campaign
     rounds, so the four Fraction→float conversions happen once per
     distinct envelope rather than once per block build or probe.

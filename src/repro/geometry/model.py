@@ -199,8 +199,8 @@ class Envelope:
     #: ``_float_box`` memoizes the outward-rounded float box the columnar
     #: kernels derive from the exact bounds (see
     #: :func:`repro.geometry.columnar.envelope_float_box`); envelopes are
-    #: immutable, and the reuse layer shares interned geometry instances —
-    #: and therefore their envelope memos — across campaign rounds.
+    #: immutable, and the WKT interner shares geometry instances — and
+    #: therefore their envelope memos — across campaign rounds.
     __slots__ = ("min_x", "min_y", "max_x", "max_y", "_float_box")
 
     def __init__(self, min_x: Fraction, min_y: Fraction, max_x: Fraction, max_y: Fraction):

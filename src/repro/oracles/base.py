@@ -34,9 +34,8 @@ from typing import Any, Callable
 
 from repro.backends.base import Capabilities
 from repro.core.generator import DatabaseSpec
-from repro.core.oracle import CrashReport
+from repro.core.oracle import CrashReport, load_spec
 from repro.core.qir import Select, structural_signature
-from repro.core.reuse import record_materialisation, reuse_enabled
 from repro.errors import EngineCrash, ReproError
 from repro.geometry import load_wkt
 
@@ -84,7 +83,7 @@ class OracleRoundOutcome:
     queries_run: int = 0
     #: semantic errors ignored rather than reported (AEI parity).
     errors_ignored: int = 0
-    #: wall time spent materialising the database (reuse-layer phase split).
+    #: wall time spent materialising the database (materialise/execute split).
     materialise_seconds: float = 0.0
 
 
@@ -129,33 +128,16 @@ class CampaignOracle:
     ):
         """Create the spec's tables in a fresh session (ids included).
 
-        Mirrors :meth:`repro.core.oracle.AEIOracle.materialise`: stable row
-        ids key every containment/membership check, construction crashes
-        become :class:`CrashReport` records, and semantic construction
-        errors are ignored.  Returns ``None`` when materialisation failed.
-        With the reuse layer on, sessions that support bulk loading receive
-        the interner's parsed geometries directly instead of replaying the
-        CREATE/INSERT statements (identical storage, no SQL round-trip).
+        Loads through :func:`repro.core.oracle.load_spec`, the AEI oracle's
+        materialisation path: stable row ids key every containment/membership
+        check, construction crashes become :class:`CrashReport` records, and
+        semantic construction errors are ignored.  Returns ``None`` when
+        materialisation failed.
         """
         started = time.perf_counter()
         try:
             session = session_factory()
-            loader = (
-                getattr(session, "load_geometry_tables", None) if reuse_enabled() else None
-            )
-            if loader is not None:
-                record_materialisation("direct")
-                loader(
-                    {
-                        table: [load_wkt(wkt) for wkt in wkts]
-                        for table, wkts in spec.tables.items()
-                    },
-                    include_ids=True,
-                )
-            else:
-                record_materialisation("fallback")
-                for statement in spec.create_statements(include_ids=True):
-                    session.execute(statement)
+            load_spec(session, spec, capabilities)
         except EngineCrash as crash:
             outcome.crashes.append(
                 CrashReport(
@@ -170,8 +152,6 @@ class CampaignOracle:
             return None
         finally:
             outcome.materialise_seconds += time.perf_counter() - started
-        if getattr(session, "fast_path", False) and capabilities.supports_auto_indexes:
-            session.build_auto_indexes()
         return session
 
     def describe(self) -> str:

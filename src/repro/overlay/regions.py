@@ -23,12 +23,12 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence
 
+from repro.geometry.columnar import fast_kernels_enabled
 from repro.geometry.model import Coordinate, Geometry, MultiPolygon, Polygon, flatten
 from repro.geometry.primitives import point_in_ring, ring_signed_area
 from repro.topology.labels import EXTERIOR, TopologyDescriptor
 from repro.topology.noding import (
     OffsetContext,
-    fast_clearance_enabled,
     midpoint,
     node_segments,
     side_offsets,
@@ -87,7 +87,7 @@ def areal_overlay(a: Geometry, b: Geometry, keep: MembershipRule) -> list[Polygo
         return keep(in_a, in_b)
 
     boundary_edges: list[DirectedEdge] = []
-    offset_context = OffsetContext(noded_unique, nodes) if fast_clearance_enabled() else None
+    offset_context = OffsetContext(noded_unique, nodes) if fast_kernels_enabled() else None
     for segment in noded_unique:
         left, right = side_offsets(segment, noded_unique, nodes, context=offset_context)
         left_in = membership(left)

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from repro.geometry.columnar import (
     ClearanceFilter,
+    fast_kernels_enabled,
     segment_pair_candidates,
     vectorized_kernels_enabled,
 )
@@ -145,31 +146,6 @@ def _order_along_segment(
 def midpoint(a: Coordinate, b: Coordinate) -> Coordinate:
     """Exact midpoint of a segment."""
     return Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
-
-
-#: process-wide switch for the integer-rescaled clearance kernel.  The two
-#: kernels are exactly equivalent (same rationals, hence identical witness
-#: points); the flag only exists so the execution fast path can be measured
-#: and disabled as one unit (``CampaignConfig.fast_path``).
-_FAST_CLEARANCE = True
-
-
-def set_fast_clearance(enabled: bool) -> bool:
-    """Toggle the integer clearance kernel; returns the previous setting."""
-    global _FAST_CLEARANCE
-    previous = _FAST_CLEARANCE
-    _FAST_CLEARANCE = bool(enabled)
-    return previous
-
-
-def fast_clearance_enabled() -> bool:
-    """Whether the integer clearance kernel is active.
-
-    Callers that precompute an :class:`OffsetContext` for a batch of
-    ``side_offsets`` queries should skip the construction when this is off
-    — the reference kernel would never consult it.
-    """
-    return _FAST_CLEARANCE
 
 
 class _ScaleMismatch(Exception):
@@ -391,9 +367,10 @@ def side_offsets(
     then computed with integer arithmetic (identical value, far cheaper).
     """
     a, b = segment
-    if _FAST_CLEARANCE and context is None:
+    fast = fast_kernels_enabled()
+    if fast and context is None:
         context = OffsetContext(all_segments, all_nodes)
-    if _FAST_CLEARANCE and vectorized_kernels_enabled():
+    if vectorized_kernels_enabled():
         # Vectorized kernels: the whole construction (clearance, epsilon,
         # offset coordinates) stays on the integer grid — rational-for-
         # rational the same witness points as the Fraction arithmetic below.
@@ -405,7 +382,7 @@ def side_offsets(
     length_sq = squared_distance(a, b)
 
     min_clearance_sq: Fraction | None = None
-    if _FAST_CLEARANCE:
+    if fast:
         try:
             min_clearance_sq = context.min_clearance_sq(a, b)
         except _ScaleMismatch:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.geometry.columnar import vectorized_kernels_enabled
+from repro.geometry.columnar import fast_kernels_enabled, vectorized_kernels_enabled
 from repro.geometry.model import Coordinate, Geometry
 from repro.topology.labels import (
     BOUNDARY,
@@ -35,7 +35,6 @@ from repro.topology.labels import (
 )
 from repro.topology.noding import (
     OffsetContext,
-    fast_clearance_enabled,
     midpoint,
     node_segments,
     side_offsets,
@@ -284,7 +283,7 @@ def relate_descriptors(
     # One integer-grid clearance context shared by every side-offset query of
     # this arrangement (identical rationals, computed without per-operation
     # Fraction normalisation); skipped entirely when the kernel is off.
-    offset_context = OffsetContext(noded_union, nodes) if fast_clearance_enabled() else None
+    offset_context = OffsetContext(noded_union, nodes) if fast_kernels_enabled() else None
     seen_midpoints: set[Coordinate] = set()
     unique_segments: list[tuple[tuple[Coordinate, Coordinate], Coordinate]] = []
     for segment in noded_union:

@@ -77,7 +77,7 @@ def _run_legacy(seed: int):
             GeneratorConfig(geometry_count=BASE["geometry_count"], table_count=2),
             rng=rng,
         )
-        oracle = AEIOracle(factory, rng=rng, fast_path=True)
+        oracle = AEIOracle(factory, rng=rng)
         try:
             spec = generator.generate()
         except EngineCrash as crash:

@@ -169,3 +169,28 @@ def test_second_submission_of_same_config_reports_zero_novel(tmp_path):
         # the second run still *observed* the findings — they are sighted,
         # just not novel
         assert store.sighting_count(second_id) == len(finding_records(second))
+
+
+def test_snapshot_with_retired_speed_switches_resumes(tmp_path):
+    """A config snapshot written before ``vectorized``/``reuse`` were folded
+    into ``fast_path`` still loads (unknown keys are dropped) and resumes to
+    the same findings as a fresh run of the same configuration."""
+    from dataclasses import asdict
+
+    from repro.store.serialize import jsonable
+
+    config = CampaignConfig(geometry_count=5, queries_per_round=6, seed=3)
+    store_path = str(tmp_path / "legacy.db")
+    with FindingsStore(store_path) as store:
+        store.create_campaign(
+            "legacy",
+            {**jsonable(asdict(config)), "vectorized": True, "reuse": False},
+            config.seed,
+            target_rounds=2,
+        )
+    _, resumed = resume_store_campaign(store_path, "legacy")
+    with FindingsStore(store_path) as store:
+        assert store.get_campaign("legacy")["status"] == "completed"
+    fresh = run_campaign(config, rounds=2)
+    assert resumed.rounds == 2
+    assert finding_records(resumed) == finding_records(fresh)

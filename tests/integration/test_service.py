@@ -182,6 +182,15 @@ class TestErrorPaths:
         )
         assert "bogus" in message
 
+    @pytest.mark.parametrize("key", ["vectorized", "reuse"])
+    def test_removed_speed_switches_are_400(self, service, key):
+        """``fast_path`` is the one speed switch; the retired keys are
+        rejected by name rather than silently ignored."""
+        message = self.expect_error(
+            lambda: post(service, "/campaigns", {**SUBMISSION, key: False}), 400
+        )
+        assert key in message
+
     def test_unknown_registry_names_are_400(self, service):
         assert "dialect" in self.expect_error(
             lambda: post(service, "/campaigns", {"dialect": "oracle23ai"}), 400

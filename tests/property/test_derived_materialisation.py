@@ -1,18 +1,15 @@
-"""Seeded property suite: derived follow-up specs are byte-identical.
+"""Seeded property suite: bulk-loaded storage equals SQL replay.
 
-The reuse layer's :meth:`AEIOracle.derive_followup` skips the WKT
-round-trip of :meth:`AEIOracle.build_followup_spec` by transforming parsed
-geometries and keeping the derived objects for direct bulk-load.  Its
-admissibility contract is *byte identity*: for every generated database,
-every transformation family, and both canonicalization modes, the derived
-spec must equal the legacy spec exactly — same table order, same WKT text
-per row — and each kept geometry object must be value-identical to the
-parse of its own WKT, so a bulk-loaded table stores exactly what the
-CREATE/INSERT replay would have stored.
+On the fast path, :func:`repro.core.oracle.load_spec` bulk-loads the parsed
+geometries of a spec's WKTs into in-process sessions instead of replaying
+its CREATE/INSERT statements.  Its admissibility contract is *storage
+identity*: for every generated database and its affine follow-ups (every
+transformation family, both canonicalization modes), the bulk-loaded
+tables must hold exactly what the replay stores — same tables, same row
+ids, same geometries — with the same statement accounting.
 
 200 seeded cases as the generator produces them (derivative strategy on),
-cycling the three transformation families; a sampled subset additionally
-materialises both ways on the in-process engine and compares storage.
+cycling the three transformation families.
 """
 
 from __future__ import annotations
@@ -20,9 +17,8 @@ from __future__ import annotations
 import random
 
 from repro.core.generator import GeneratorConfig, GeometryAwareGenerator
-from repro.core.oracle import AEIOracle
-from repro.engine.database import connect
-from repro.geometry import load_wkt
+from repro.core.oracle import AEIOracle, load_spec
+from repro.engine.database import SpatialDatabase, connect
 from repro.scenarios.base import TransformationFamily
 
 CASES = 200
@@ -56,58 +52,31 @@ def _materialised_rows(database):
     return rows
 
 
-def test_derived_spec_is_byte_identical_across_families():
-    oracle = AEIOracle(connect)
-    exact_cases = 0
-    for index in range(CASES):
-        spec, transformation = _case(index)
-        for canonicalize_spec in (True, False):
-            legacy = oracle.build_followup_spec(
-                spec, transformation, canonicalize_spec=canonicalize_spec
-            )
-            derived, parsed = oracle.derive_followup(
-                spec, transformation, canonicalize_spec=canonicalize_spec
-            )
-            # Byte-identical spec: table order, row order, WKT text.
-            assert list(derived.tables) == list(legacy.tables)
-            assert derived.tables == legacy.tables
-            # And statement-identical SQL replay (ids included).
-            assert derived.create_statements(include_ids=True) == (
-                legacy.create_statements(include_ids=True)
-            )
-            if parsed is None:
-                continue
-            exact_cases += 1
-            # Each kept object is value-identical to the parse of its WKT —
-            # the soundness condition of direct bulk-load.
-            assert set(parsed) == set(derived.tables)
-            for table, geometries in parsed.items():
-                texts = derived.tables[table]
-                assert len(geometries) == len(texts)
-                for text, geometry in zip(texts, geometries):
-                    assert geometry.wkt == text
-                    assert load_wkt(text) == geometry
-    # The samplers draw integer matrices over integral generated inputs, so
-    # the direct path must carry the overwhelming majority of cases — the
-    # byte-identity assertions above must not pass vacuously via fallback.
-    assert exact_cases >= int(0.75 * CASES * 2)
+def test_bulk_loaded_tables_match_sql_replay(monkeypatch):
+    bulk_loads = []
+    load = SpatialDatabase.load_geometry_tables
 
+    def counting_load(database, *args, **kwargs):
+        bulk_loads.append(1)
+        return load(database, *args, **kwargs)
 
-def test_bulk_loaded_tables_match_sql_replay():
-    """Materialising parsed objects stores exactly what the SQL path stores."""
+    monkeypatch.setattr(SpatialDatabase, "load_geometry_tables", counting_load)
     oracle = AEIOracle(connect)
     compared = 0
-    for index in range(0, CASES, 10):
+    for index in range(CASES):
         spec, transformation = _case(index)
-        derived, parsed = oracle.derive_followup(spec, transformation)
-        if parsed is None:
-            continue
-        compared += 1
-        direct = connect()
-        direct.load_geometry_tables(parsed, include_ids=True)
-        legacy = connect()
-        for statement in derived.create_statements(include_ids=True):
-            legacy.execute(statement)
-        assert _materialised_rows(direct) == _materialised_rows(legacy)
-        assert direct.table_names() == legacy.table_names()
-    assert compared > 0
+        specs = [spec] + [
+            oracle.build_followup_spec(spec, transformation, canonicalize_spec=canonical)
+            for canonical in (True, False)
+        ]
+        for candidate in specs:
+            direct = connect()
+            load_spec(direct, candidate)
+            replayed = connect(fast_path=False)
+            load_spec(replayed, candidate)
+            assert _materialised_rows(direct) == _materialised_rows(replayed)
+            assert direct.table_names() == replayed.table_names()
+            assert direct.stats.statements == replayed.stats.statements
+            compared += 1
+    # every fast-path load took the bulk-load route, none of the replays did
+    assert len(bulk_loads) == compared == 3 * CASES

@@ -159,6 +159,7 @@ def test_registry_fast_path_matches_direct_predicates():
 
 
 def test_fast_clearance_kernel_matches_reference():
+    from repro.geometry.columnar import set_fast_kernels
     from repro.topology import noding
 
     rng = random.Random(97)
@@ -188,11 +189,11 @@ def test_fast_clearance_kernel_matches_reference():
             fast = context.min_clearance_sq(segment[0], segment[1])
             assert reference == fast, segment
             with_context = noding.side_offsets(segment, noded, nodes, context=context)
-            previous = noding.set_fast_clearance(False)
+            previous = set_fast_kernels(False)
             try:
                 without_fast_path = noding.side_offsets(segment, noded, nodes)
             finally:
-                noding.set_fast_clearance(previous)
+                set_fast_kernels(previous)
             assert with_context == without_fast_path
 
 

@@ -44,7 +44,7 @@ from repro.geometry.columnar import (
     clear_kernel_stats,
     kernel_stats,
     segment_pair_candidates,
-    set_vectorized_kernels,
+    set_fast_kernels,
 )
 from repro.geometry.model import (
     Coordinate,
@@ -169,11 +169,11 @@ def _adversarial_points(rng, ring_or_segments, edges):
 
 
 def _with_kernels(enabled: bool, action):
-    previous = set_vectorized_kernels(enabled)
+    previous = set_fast_kernels(enabled)
     try:
         return action()
     finally:
-        set_vectorized_kernels(previous)
+        set_fast_kernels(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +417,14 @@ _FAULT_IDS = (
 _FAULT_PREDICATES = ("st_contains", "st_within", "st_covers", "st_intersects", "st_touches")
 
 
-def _fault_sweep(vectorized: bool):
+def _fault_sweep(fast_path: bool):
     # Cold process-global caches per mode: a warm relate/canonical cache
     # would let the second sweep coast on the first one's evaluations.
     clear_relate_cache()
     clear_canonical_cache()
     clear_geometry_cache()
     rng = random.Random(60408)
-    database = connect("postgis", bug_ids=list(_FAULT_IDS), vectorized=vectorized)
+    database = connect("postgis", bug_ids=list(_FAULT_IDS), fast_path=fast_path)
     values = []
 
     def run():
@@ -435,7 +435,7 @@ def _fault_sweep(vectorized: bool):
             sql = f"SELECT {name}('{a.wkt}'::geometry, '{b.wkt}'::geometry)"
             values.append((sql, database.query_value(sql)))
 
-    _with_kernels(vectorized, run)
+    _with_kernels(fast_path, run)
     return values, list(database.fault_plan.triggered)
 
 

@@ -1,12 +1,11 @@
 """Bounded LRU regression for the WKT/WKB interner.
 
-Before the reuse layer the interner grew without bound for the life of the
-process; ``spatter serve`` can run campaigns for days, so the tables are
-now capped LRUs.  These tests pin the bound (a long synthetic load never
-exceeds the cap), the recency discipline (the least recently *used* entry
-goes first, not the least recently inserted), the eviction counters in
-``geometry_cache_stats()``, and the hit/miss semantics of ``intern_parsed``
-(the reuse layer's entry point for registering derived geometries).
+The interner once grew without bound for the life of the process;
+``spatter serve`` can run campaigns for days, so the tables are now capped
+LRUs.  These tests pin the bound (a long synthetic load never exceeds the
+cap), the recency discipline (the least recently *used* entry goes first,
+not the least recently inserted) and the eviction counters in
+``geometry_cache_stats()``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro.geometry.cache import (
     clear_geometry_cache,
     geometry_cache_stats,
-    intern_parsed,
     load_hex_wkb_interned,
     load_wkt_interned,
     set_geometry_cache_limit,
@@ -75,23 +73,6 @@ def test_shrinking_the_limit_evicts_immediately(tiny_cache):
     assert geometry_cache_stats()["hits"] == 0
     load_wkt_interned(_point(3))
     assert geometry_cache_stats()["hits"] == 1
-
-
-def test_intern_parsed_registers_and_defers_to_existing(tiny_cache):
-    text = "LINESTRING(0 0,2 2)"
-    parsed = parse_wkt_raw(text)  # raw parser: does not touch the interner
-    assert geometry_cache_stats()["misses"] == 0
-    # First registration counts as a miss and installs the object.
-    assert intern_parsed(text, parsed) is parsed
-    assert load_wkt_interned(text) is parsed  # hit, shared instance
-    # A second registration under the same text is a hit and the *existing*
-    # instance wins — identity sharing is never broken by re-registration.
-    other = parse_wkt_raw(text)
-    assert other is not parsed
-    assert intern_parsed(text, other) is parsed
-    stats = geometry_cache_stats()
-    assert stats["hits"] == 2
-    assert stats["misses"] == 1
 
 
 def test_wkb_table_is_bounded_too(tiny_cache):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.engine.database import connect
 from repro.engine.faults import NON_EVALUATION_MECHANISMS, FaultPlan, bug_by_id
+from repro.geometry.columnar import set_fast_kernels
 
 
 class TestInfluencesEvaluation:
@@ -95,15 +96,18 @@ class TestPrefilterEngagesUnderUnaffectedFaults:
         "ORDER BY a.id, b.id"
     )
 
-    def _findings(self, fast_path, vectorized):
+    def _findings(self, fast_path, kernels=True):
         database = connect(
-            "postgis",
-            bug_ids=["jts-boundary-last-one-wins"],
-            fast_path=fast_path,
-            vectorized=vectorized,
+            "postgis", bug_ids=["jts-boundary-last-one-wins"], fast_path=fast_path
         )
-        database.execute(self.STATEMENTS)
-        rows = database.query_rows(self.QUERY)
+        # With the kernels off a fast-path connection runs the scalar
+        # executor's R-tree prefilter (the numpy-absent fallback).
+        previous = set_fast_kernels(kernels)
+        try:
+            database.execute(self.STATEMENTS)
+            rows = database.query_rows(self.QUERY)
+        finally:
+            set_fast_kernels(previous)
         return rows, list(database.fault_plan.triggered)
 
     def test_identical_findings_with_the_prefilter_on_and_off(self):
@@ -112,9 +116,9 @@ class TestPrefilterEngagesUnderUnaffectedFaults:
         (gate now open), the unprefiltered plan (the old gate's behaviour)
         and the batch plan all report the same rows and the same trigger
         stream — EMPTY and collection rows included."""
-        prefiltered = self._findings(fast_path=True, vectorized=False)
-        unprefiltered = self._findings(fast_path=False, vectorized=False)
-        batch = self._findings(fast_path=True, vectorized=True)
+        prefiltered = self._findings(fast_path=True, kernels=False)
+        unprefiltered = self._findings(fast_path=False)
+        batch = self._findings(fast_path=True)
         assert prefiltered == unprefiltered == batch
         rows, triggered = prefiltered
         assert (1, 2) in rows and (1, 5) in rows  # real containments found
