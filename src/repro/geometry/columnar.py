@@ -16,7 +16,7 @@ Shewchuk-style predicates):
   propagating error bounds alongside the values;
 * a sign is trusted only when the magnitude *certainly* exceeds the
   accumulated bound; every uncertain entry falls back to the original exact
-  Fraction predicate.
+  predicate.
 
 The kernels therefore return results **identical** to their scalar
 counterparts — the float layer only prunes work, it never decides a close
@@ -41,7 +41,7 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
     np = None  # type: ignore[assignment]
 
 from repro.geometry.model import Coordinate
-from repro.geometry.primitives import point_in_ring, point_on_segment
+from repro.geometry.primitives import point_in_ring, point_on_segment, ray_crossing
 
 #: one float rounding step per operation is < 2**-53 relative; the bounds
 #: below charge 2**-52 so the error arithmetic (itself computed in floats)
@@ -292,25 +292,6 @@ class PointColumns:
 # ---------------------------------------------------------------------------
 
 
-def _exact_crossing(p: Coordinate, a: Coordinate, b: Coordinate) -> bool:
-    """One edge's exact contribution to the ray-crossing parity.
-
-    Equivalent to the crossing step of
-    :func:`repro.geometry.primitives.point_in_ring` with the division
-    cleared: there ``x_cross > p.x`` with
-    ``x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x)``, and
-    ``x_cross - p.x = cross(a, b, p) / (b.y - a.y)``, so under the straddle
-    (which makes the denominator nonzero) the comparison is a sign match —
-    the same bit without a Fraction division.
-    """
-    if (a.y > p.y) != (b.y > p.y):
-        numerator = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-        if numerator == 0:
-            return False
-        return (numerator > 0) == (b.y > a.y)
-    return False
-
-
 class RingLocator:
     """Batch replacement for :func:`point_in_ring` over one fixed ring.
 
@@ -326,7 +307,8 @@ class RingLocator:
       ``sign(cross) == sign(b.y - a.y)`` (clear denominators in the
       abscissa comparison and the same cross product appears as the
       numerator); straddle-uncertain or sign-uncertain edges contribute
-      their exact :func:`_exact_crossing` bit instead.
+      their exact :func:`~repro.geometry.primitives.ray_crossing` bit
+      instead.
     """
 
     def __init__(self, ring: Sequence[Coordinate]):
@@ -366,29 +348,35 @@ class RingLocator:
         # Under a certain straddle, b.y - a.y has the sign of d2 (= b.y - p.y).
         contributions = counted & ((crossv > 0) == (d2v > 0))
         parity_uncertain = ~straddle_known | (straddle_known & straddle & ~cross_certain)
-        counts = contributions.sum(axis=1)
+        # Per-row summaries fetched once per batch: most rows have no exact
+        # work at all, and they skip the per-row np.nonzero.
+        counts = contributions.sum(axis=1).tolist()
+        boundary_rows = boundary_candidate.any(axis=1).tolist()
+        parity_rows = parity_uncertain.any(axis=1).tolist()
 
         edges = table.edges
         results: list[str] = []
         for i, p in enumerate(points):
             on_boundary = False
-            for j in np.nonzero(boundary_candidate[i])[0]:
-                _KERNEL_STATS["ring_exact_boundary_checks"] += 1
-                a, b = edges[j]
-                # Nodes frequently coincide with ring vertices: two exact
-                # equality tests are far cheaper than the orientation test.
-                if p == a or p == b or point_on_segment(p, a, b):
-                    on_boundary = True
-                    break
+            if boundary_rows[i]:
+                for j in np.nonzero(boundary_candidate[i])[0].tolist():
+                    _KERNEL_STATS["ring_exact_boundary_checks"] += 1
+                    a, b = edges[j]
+                    # Nodes frequently coincide with ring vertices: two exact
+                    # equality tests are far cheaper than the orientation test.
+                    if p == a or p == b or point_on_segment(p, a, b):
+                        on_boundary = True
+                        break
             if on_boundary:
                 results.append("boundary")
                 continue
-            inside = int(counts[i]) & 1
-            for j in np.nonzero(parity_uncertain[i])[0]:
-                _KERNEL_STATS["ring_exact_crossing_checks"] += 1
-                a, b = edges[j]
-                if _exact_crossing(p, a, b):
-                    inside ^= 1
+            inside = counts[i] & 1
+            if parity_rows[i]:
+                for j in np.nonzero(parity_uncertain[i])[0].tolist():
+                    _KERNEL_STATS["ring_exact_crossing_checks"] += 1
+                    a, b = edges[j]
+                    if ray_crossing(p, a, b):
+                        inside ^= 1
             results.append("interior" if inside else "exterior")
         return results
 
@@ -425,14 +413,16 @@ class SegmentsLocator:
             candidate &= ~face_interior[:, None]
         segments = self._segments
         results: list[bool] = []
+        candidate_rows = candidate.any(axis=1).tolist()
         for i, p in enumerate(points):
             hit = False
-            for j in np.nonzero(candidate[i])[0]:
-                _KERNEL_STATS["segment_exact_checks"] += 1
-                a, b = segments[j]
-                if p == a or p == b or point_on_segment(p, a, b):
-                    hit = True
-                    break
+            if candidate_rows[i]:
+                for j in np.nonzero(candidate[i])[0].tolist():
+                    _KERNEL_STATS["segment_exact_checks"] += 1
+                    a, b = segments[j]
+                    if p == a or p == b or point_on_segment(p, a, b):
+                        hit = True
+                        break
             results.append(hit)
         return results
 

@@ -35,25 +35,34 @@ class Coordinate:
     """An exact 2D coordinate.
 
     Coordinates are immutable and hashable, so they can be used as keys in
-    the topology engine's node maps.
+    the topology engine's node maps.  The hash is computed on first use and
+    cached; it always equals ``hash((x, y))``, so sets and dicts of
+    coordinates iterate in the same order as ones keyed by ordinate pairs.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "_hash")
 
     def __init__(self, x: Numeric, y: Numeric):
         object.__setattr__(self, "x", _to_fraction(x))
         object.__setattr__(self, "y", _to_fraction(y))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Coordinate is immutable")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Coordinate):
             return NotImplemented
         return self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y))
+        value = self._hash
+        if value is None:
+            value = hash((self.x, self.y))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def __lt__(self, other: "Coordinate") -> bool:
         return (self.x, self.y) < (other.x, other.y)

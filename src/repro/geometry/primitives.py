@@ -1,13 +1,22 @@
 """Exact low-level geometric predicates and constructions.
 
 Everything in this module operates on :class:`~repro.geometry.model.Coordinate`
-values whose ordinates are :class:`fractions.Fraction`, so every predicate is
-decided exactly — there is no epsilon anywhere.  The topology engine
+values whose ordinates are stored as :class:`fractions.Fraction`.  The hot
+predicates decide signs in plain ``int`` arithmetic rather than through
+``Fraction`` operators: :func:`orientation` (and everything built on it,
+such as :func:`point_on_segment` and the ray-crossing step of
+:func:`point_in_ring`) clears denominators by integer cross-multiplication
+of each ordinate's ``as_integer_ratio()``, and the crossing point of
+:func:`segment_intersection` is computed on the segments' common integer
+grid.  Denominators are positive, so every sign is exactly the sign of the
+rational expression and every constructed point is the same normalised
+``Fraction`` — there is no epsilon anywhere.  The topology engine
 (:mod:`repro.topology`) is built entirely on these primitives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,9 +36,26 @@ def cross(o: Coordinate, a: Coordinate, b: Coordinate) -> Fraction:
 def orientation(o: Coordinate, a: Coordinate, b: Coordinate) -> int:
     """Orientation of the ordered triple (o, a, b).
 
-    Returns :data:`COUNTERCLOCKWISE`, :data:`CLOCKWISE`, or :data:`COLLINEAR`.
+    Returns :data:`COUNTERCLOCKWISE`, :data:`CLOCKWISE`, or :data:`COLLINEAR`:
+    the sign of :func:`cross`, decided on integers.
     """
-    value = cross(o, a, b)
+    nox, dox = o.x.as_integer_ratio()
+    noy, doy = o.y.as_integer_ratio()
+    nax, dax = a.x.as_integer_ratio()
+    nay, day = a.y.as_integer_ratio()
+    nbx, dbx = b.x.as_integer_ratio()
+    nby, dby = b.y.as_integer_ratio()
+    if dox == dax == dbx == doy == day == dby == 1:
+        value = (nax - nox) * (nby - noy) - (nay - noy) * (nbx - nox)
+    else:
+        # a.x - o.x = (nax*dox - nox*dax) / (dax*dox), and likewise for the
+        # other three differences; multiplying the cross product by their
+        # four positive denominators keeps its sign.
+        ax_num, ax_den = nax * dox - nox * dax, dax * dox
+        ay_num, ay_den = nay * doy - noy * day, day * doy
+        bx_num, bx_den = nbx * dox - nox * dbx, dbx * dox
+        by_num, by_den = nby * doy - noy * dby, dby * doy
+        value = ax_num * by_num * ay_den * bx_den - ay_num * bx_num * ax_den * by_den
     if value > 0:
         return COUNTERCLOCKWISE
     if value < 0:
@@ -152,17 +178,53 @@ def segment_intersection(
 def _line_intersection_point(
     a1: Coordinate, a2: Coordinate, b1: Coordinate, b2: Coordinate
 ) -> Coordinate | None:
-    """Unique intersection point of two segments known to cross, or None."""
-    r_x, r_y = a2.x - a1.x, a2.y - a1.y
-    s_x, s_y = b2.x - b1.x, b2.y - b1.y
+    """Unique intersection point of two segments known to cross, or None.
+
+    The eight ordinates are rescaled onto their common denominator
+    ``scale``, so with ``r = a2 - a1``, ``s = b2 - b1`` and ``q = b1 - a1``
+    the line parameters ``t = (q × s) / (r × s)`` and ``u = (q × r) / (r × s)``
+    are integer ratios: ``0 <= t, u <= 1`` is decided in integers, and the
+    point ``a1 + t * r`` is built with one ``Fraction`` normalisation per
+    ordinate.
+    """
+    a1x, a1x_den = a1.x.as_integer_ratio()
+    a1y, a1y_den = a1.y.as_integer_ratio()
+    a2x, a2x_den = a2.x.as_integer_ratio()
+    a2y, a2y_den = a2.y.as_integer_ratio()
+    b1x, b1x_den = b1.x.as_integer_ratio()
+    b1y, b1y_den = b1.y.as_integer_ratio()
+    b2x, b2x_den = b2.x.as_integer_ratio()
+    b2y, b2y_den = b2.y.as_integer_ratio()
+    scale = math.lcm(
+        a1x_den, a1y_den, a2x_den, a2y_den, b1x_den, b1y_den, b2x_den, b2y_den
+    )
+    if scale != 1:
+        a1x *= scale // a1x_den
+        a1y *= scale // a1y_den
+        a2x *= scale // a2x_den
+        a2y *= scale // a2y_den
+        b1x *= scale // b1x_den
+        b1y *= scale // b1y_den
+        b2x *= scale // b2x_den
+        b2y *= scale // b2y_den
+    r_x, r_y = a2x - a1x, a2y - a1y
+    s_x, s_y = b2x - b1x, b2y - b1y
+    q_x, q_y = b1x - a1x, b1y - a1y
     denominator = r_x * s_y - r_y * s_x
     if denominator == 0:
         return None
-    t = ((b1.x - a1.x) * s_y - (b1.y - a1.y) * s_x) / denominator
-    u = ((b1.x - a1.x) * r_y - (b1.y - a1.y) * r_x) / denominator
-    if not (0 <= t <= 1 and 0 <= u <= 1):
+    t_num = q_x * s_y - q_y * s_x
+    u_num = q_x * r_y - q_y * r_x
+    if denominator < 0:
+        denominator, t_num, u_num = -denominator, -t_num, -u_num
+    if not (0 <= t_num <= denominator and 0 <= u_num <= denominator):
         return None
-    return Coordinate(a1.x + t * r_x, a1.y + t * r_y)
+    # a1 + t * r = (a1 * denominator + t_num * r) / (denominator * scale).
+    point_den = denominator * scale
+    return Coordinate(
+        Fraction(a1x * denominator + t_num * r_x, point_den),
+        Fraction(a1y * denominator + t_num * r_y, point_den),
+    )
 
 
 def _collinear_overlap(
@@ -184,7 +246,7 @@ def _collinear_overlap(
 
 
 def ring_signed_area(ring: Sequence[Coordinate]) -> Fraction:
-    """Twice-signed-free signed area of a closed ring (shoelace formula).
+    """Signed area of a closed ring (shoelace formula).
 
     Positive for counter-clockwise rings, negative for clockwise rings.  The
     first and last coordinates may or may not coincide; both forms are
@@ -228,13 +290,27 @@ def point_in_ring(p: Coordinate, ring: Sequence[Coordinate]) -> str:
     # Crossing number with the standard half-open rule on the y interval.
     inside = False
     for a, b in zip(points, points[1:]):
-        if (a.y > p.y) != (b.y > p.y):
-            # x coordinate of the edge at height p.y
-            t = (p.y - a.y) / (b.y - a.y)
-            x_cross = a.x + t * (b.x - a.x)
-            if x_cross > p.x:
-                inside = not inside
+        if ray_crossing(p, a, b):
+            inside = not inside
     return "interior" if inside else "exterior"
+
+
+def ray_crossing(p: Coordinate, a: Coordinate, b: Coordinate) -> bool:
+    """One edge's contribution to :func:`point_in_ring`'s crossing parity.
+
+    True when edge ``a``–``b`` straddles the horizontal line through ``p``
+    (half-open rule: exactly one endpoint lies strictly above it) and meets
+    that line strictly right of ``p``.  The crossing abscissa is
+    ``x = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x)``, and
+    ``x - p.x = cross(a, b, p) / (b.y - a.y)``; the straddle makes the
+    divisor nonzero, so ``x > p.x`` exactly when ``orientation(a, b, p)``
+    is nonzero with the sign of ``b.y - a.y`` — no division needed.
+    """
+    upward = b.y > p.y
+    if (a.y > p.y) == upward:
+        return False
+    # Under the straddle, b.y - a.y > 0 exactly when b lies above p.
+    return orientation(a, b, p) == (COUNTERCLOCKWISE if upward else CLOCKWISE)
 
 
 def convex_hull(points: Iterable[Coordinate]) -> list[Coordinate]:
@@ -251,7 +327,10 @@ def convex_hull(points: Iterable[Coordinate]) -> list[Coordinate]:
     def build(seq: list[Coordinate]) -> list[Coordinate]:
         hull: list[Coordinate] = []
         for point in seq:
-            while len(hull) >= 2 and cross(hull[-2], hull[-1], point) <= 0:
+            while (
+                len(hull) >= 2
+                and orientation(hull[-2], hull[-1], point) != COUNTERCLOCKWISE
+            ):
                 hull.pop()
             hull.append(point)
         return hull
