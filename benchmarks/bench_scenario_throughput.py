@@ -16,7 +16,8 @@ previous configuration paid for.
 
 The two join-heavy scenarios (the slowest rows of the table) additionally
 run with ``fast_path=False`` — the scalar reference path: row-at-a-time
-execution, ``Fraction`` kernels and CREATE/INSERT SQL replay.  The report
+execution, the same exact kernels without float prescreens, and
+CREATE/INSERT SQL replay.  The report
 shows the speedup and the benchmark asserts the optimised path's contract:
 at least 8x rounds/s on ``topological-join`` and ``join-chain`` with a bug
 yield and discrepancy stream identical to the reference.  The 8x gate

@@ -154,8 +154,3 @@ class CoverageTracker:
             covered={group: set(values) for group, values in self._covered.items()},
             executable=dict(self._executable_totals),
         )
-
-    def snapshot_percentages(self) -> dict[str, float]:
-        """Current coverage percentage per group (used for coverage-over-time)."""
-        report = self.report()
-        return {group: report.line_coverage(group) for group in self.groups}

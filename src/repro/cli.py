@@ -132,8 +132,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the scalar reference path instead of the optimised one "
-            "(no prepared-predicate caching, STR prefilters, integer "
-            "clearance, numpy kernels, batch SELECT pipelines or bulk-load); "
+            "(no prepared-predicate caching, STR prefilters, numpy "
+            "prescreens, batch SELECT pipelines or bulk-load; the exact "
+            "arithmetic is the same); "
             "the reference side of the optimised-vs-reference self-checks"
         ),
     )

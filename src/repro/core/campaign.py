@@ -101,12 +101,13 @@ class CampaignConfig:
     #: The one speed switch.  ``True`` (the default) runs the optimised
     #: path: prepared caching of the full indexable-predicate family,
     #: auto-built STR index prefilters on oracle-materialised databases, the
-    #: integer clearance kernel, the numpy geometry kernels
-    #: (:mod:`repro.geometry.columnar`) with batch SELECT pipelines
-    #: (:mod:`repro.engine.vectorized`), and direct bulk-load of parsed
-    #: geometry into sessions that support it.  ``False`` (the CLI's
-    #: ``--no-fast-path``) runs the scalar reference: row-at-a-time
-    #: execution, ``Fraction`` kernels and CREATE/INSERT SQL replay.  The
+    #: numpy float prescreens (:mod:`repro.geometry.columnar`) with batch
+    #: SELECT pipelines (:mod:`repro.engine.vectorized`), and direct
+    #: bulk-load of parsed geometry into sessions that support it.
+    #: ``False`` (the CLI's ``--no-fast-path``) runs the scalar reference:
+    #: row-at-a-time execution, no float prescreens and CREATE/INSERT SQL
+    #: replay.  The switch never chooses arithmetic: both modes decide
+    #: every predicate and build every witness with the same exact code.  The
     #: optimised-vs-reference equivalence suite holds the two modes
     #: finding-for-finding identical.  (The always-pure layers — interned
     #: parsing, per-instance wkt/envelope memos, the relate WKT memo, and the

@@ -224,11 +224,5 @@ class Table:
         self.envelope_blocks[key] = block
         return block
 
-    def row_by_id(self, rowid: int) -> dict[str, Any]:
-        for row in self.rows:
-            if row["__rowid__"] == rowid:
-                return row
-        raise TableError(f"table {self.name!r} has no row with id {rowid}")
-
     def __len__(self) -> int:
         return len(self.rows)

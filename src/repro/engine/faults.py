@@ -466,11 +466,6 @@ class FaultPlan:
         """A plan with no active bugs (a fully fixed engine)."""
         return cls(())
 
-    def active_for_function(self, function_name: str) -> list[InjectedBug]:
-        """Active bugs that target the given SQL function."""
-        name = function_name.lower()
-        return [bug for bug in self.active_bugs if name in bug.functions]
-
     def has_mechanism(self, mechanism: str, function_name: str | None = None) -> bool:
         """True if any active bug uses the mechanism (optionally per function)."""
         for bug in self.active_bugs:

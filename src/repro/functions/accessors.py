@@ -150,21 +150,3 @@ def is_ring(geometry: Geometry) -> bool | None:
     if geometry.is_empty or not geometry.is_closed:
         return False
     return is_simple_linestring(geometry)
-
-
-def elements_of_type(geometry: Geometry, element_dimension: int) -> list[Geometry]:
-    """All basic elements of the requested dimension, searched recursively."""
-    from repro.geometry.model import flatten
-
-    wanted = {0: Point, 1: LineString, 2: type(None)}
-    result: list[Geometry] = []
-    for element in flatten(geometry):
-        if element.is_empty:
-            continue
-        if element_dimension == 0 and isinstance(element, Point):
-            result.append(element)
-        elif element_dimension == 1 and isinstance(element, LineString):
-            result.append(element)
-        elif element_dimension == 2 and element.dimension == 2:
-            result.append(element)
-    return result

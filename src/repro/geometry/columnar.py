@@ -24,10 +24,10 @@ call.  NaN/inf propagation is safe by construction: any non-finite value
 fails the certainty comparison and takes the exact fallback.
 
 Everything is gated behind the fast path's process-wide switch
-(:func:`set_fast_kernels`, which also gates the integer clearance kernel of
-:mod:`repro.topology.noding`) so campaigns can run optimised-vs-reference
+(:func:`set_fast_kernels`) so campaigns can run optimised-vs-reference
 differentially, and degrades to the scalar implementations when numpy is
-not importable.
+not importable.  The switch chooses work-skipping only, never arithmetic:
+the exact code the float layer falls back to is the same on both paths.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ _FAST_KERNELS = True
 def set_fast_kernels(enabled: bool) -> bool:
     """Toggle the fast path's process-global geometry kernels.
 
-    One switch covers the numpy batch kernels below, the integer clearance
-    kernel and the relate descriptor memo; ``TestingCampaign.run`` scopes it
-    to ``CampaignConfig.fast_path``.  Returns the previous setting.
+    One switch covers the numpy prescreens and locators below, the relate
+    descriptor memo and the face-interior certificate of the side-offset
+    witnesses; ``TestingCampaign.run`` scopes it to
+    ``CampaignConfig.fast_path``.  Returns the previous setting.
     """
     global _FAST_KERNELS
     previous = _FAST_KERNELS
@@ -496,7 +497,7 @@ def segment_pair_candidates(
 
 
 class ClearanceFilter:
-    """Float prescreen for ``OffsetContext.min_clearance_sq``.
+    """Float prescreen for ``OffsetContext``'s clearance queries.
 
     The exact clearance kernel scans every node and every segment of an
     arrangement per midpoint query.  This filter computes, per candidate, a

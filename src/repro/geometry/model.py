@@ -73,10 +73,6 @@ class Coordinate:
     def __repr__(self) -> str:
         return f"Coordinate({format_number(self.x)}, {format_number(self.y)})"
 
-    def as_floats(self) -> tuple[float, float]:
-        """Return the coordinate as a (float, float) pair."""
-        return float(self.x), float(self.y)
-
     def translated(self, dx: Numeric, dy: Numeric) -> "Coordinate":
         """Return a new coordinate shifted by (dx, dy)."""
         return Coordinate(self.x + _to_fraction(dx), self.y + _to_fraction(dy))

@@ -23,16 +23,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence
 
-from repro.geometry.columnar import fast_kernels_enabled
 from repro.geometry.model import Coordinate, Geometry, MultiPolygon, Polygon, flatten
 from repro.geometry.primitives import point_in_ring, ring_signed_area
 from repro.topology.labels import EXTERIOR, TopologyDescriptor
-from repro.topology.noding import (
-    OffsetContext,
-    midpoint,
-    node_segments,
-    side_offsets,
-)
+from repro.topology.noding import OffsetContext, node_segments
 
 Segment = tuple[Coordinate, Coordinate]
 DirectedEdge = tuple[Coordinate, Coordinate]
@@ -87,9 +81,9 @@ def areal_overlay(a: Geometry, b: Geometry, keep: MembershipRule) -> list[Polygo
         return keep(in_a, in_b)
 
     boundary_edges: list[DirectedEdge] = []
-    offset_context = OffsetContext(noded_unique, nodes) if fast_kernels_enabled() else None
+    offset_context = OffsetContext(noded_unique, nodes)
     for segment in noded_unique:
-        left, right = side_offsets(segment, noded_unique, nodes, context=offset_context)
+        left, right = offset_context.side_offset_points(segment[0], segment[1])
         left_in = membership(left)
         right_in = membership(right)
         if left_in == right_in:

@@ -410,10 +410,6 @@ class TopologyDescriptor:
             result.extend(component.isolated_points())
         return result
 
-    def has_area(self) -> bool:
-        """True if any component is 2-dimensional."""
-        return any(component.dimension == 2 for component in self.components)
-
 
 def combine_classes(classes: Sequence[str], strategy: str) -> str:
     """Combine per-component classes of one point into a single class.

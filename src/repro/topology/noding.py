@@ -8,15 +8,16 @@ every point where it meets any other segment (including collinear overlaps)
 geometry is constant along the open interior of every sub-segment and on the
 interior of every face.
 
-The implementation is an O(n²) pairwise noder.  The paper's generator
-produces geometries with a handful of vertices, yet a profile of a
-full-registry campaign still puts noding plus its side-offset clearance
-queries at about a fifth of campaign time, because relate runs on every
-cold geometry pair.  The fast path therefore prunes candidate pairs with
-certified float prescreens
-(:func:`~repro.geometry.columnar.segment_pair_candidates`) and answers the
-clearance queries on an integer grid (:class:`OffsetContext`); both give
-results identical to the exact pairwise loop.
+The implementation is an O(n²) pairwise noder.  Side-offset witnesses —
+the points just either side of a sub-segment's midpoint that sample the
+arrangement's faces — are built exactly on an integer grid
+(:class:`OffsetContext`), whichever path runs.  The paper's generator
+produces geometries with a handful of vertices, yet relate runs on every
+cold geometry pair, so the fast path additionally prunes candidate pairs
+and clearance candidates with certified float prescreens
+(:func:`~repro.geometry.columnar.segment_pair_candidates`,
+:class:`~repro.geometry.columnar.ClearanceFilter`); they only skip work and
+never change a result.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterable, Sequence
 
 from repro.geometry.columnar import (
     ClearanceFilter,
-    fast_kernels_enabled,
     segment_pair_candidates,
     vectorized_kernels_enabled,
 )
@@ -38,8 +38,6 @@ from repro.geometry.primitives import (
     orientation,
     point_on_segment,
     segment_intersection,
-    segment_point_squared_distance,
-    squared_distance,
 )
 
 Segment = tuple[Coordinate, Coordinate]
@@ -58,12 +56,11 @@ def node_segments(
     segments = [s for s in segments if s[0] != s[1]]
     extra = list(extra_points)
     # Float prescreen (vectorized kernels only): pairs that certainly have
-    # no intersection point skip the exact test.  ``None`` keeps the full
-    # pairwise loop, so the reference configuration is untouched.
+    # no intersection point skip the exact test.  ``None`` means no
+    # prescreen: every other segment is a partner, none certainly proper.
     candidates = segment_pair_candidates(segments)
-    # Intersections are symmetric in the pair: in vectorized mode each
-    # unordered pair computes its exact cut points once and the partner
-    # reuses them (the reference loop recomputes, matching history).
+    # Intersections are symmetric in the pair: each unordered pair computes
+    # its exact cut points once and the partner reuses them.
     pair_cache: dict[tuple[int, int], tuple[Coordinate, ...]] = {}
     result: list[Segment] = []
     for index, (a, b) in enumerate(segments):
@@ -89,35 +86,29 @@ def node_segments(
                     pair_cache[pair_key] = cached
                 cut_points.update(cached)
                 continue
-            # Exact shared-endpoint fast paths (ring adjacency dominates the
+            # Exact shared-endpoint shortcuts (ring adjacency dominates the
             # candidate pairs): segments with identical endpoint sets overlap
             # exactly along themselves, and two non-collinear segments with
             # one common endpoint meet only there — in both cases every cut
-            # point is already an endpoint of this segment.  Applied only in
-            # vectorized mode so the reference configuration keeps the
-            # historical code path step for step.
-            if candidates is not None:
-                a_shared = a == c or a == d
-                b_shared = b == c or b == d
-                if a_shared and b_shared:
-                    continue
-                if a_shared or b_shared:
-                    shared, other_own = (a, b) if a_shared else (b, a)
-                    other_partner = d if shared == c else c
-                    if orientation(shared, other_own, other_partner) != COLLINEAR:
-                        continue
-                cached = pair_cache.get(pair_key)
-                if cached is None:
-                    cached = tuple(segment_intersection(a, b, c, d))
-                    pair_cache[pair_key] = cached
-                cut_points.update(cached)
+            # point is already an endpoint of this segment.
+            a_shared = a == c or a == d
+            b_shared = b == c or b == d
+            if a_shared and b_shared:
                 continue
-            for point in segment_intersection(a, b, c, d):
-                cut_points.add(point)
+            if a_shared or b_shared:
+                shared, other_own = (a, b) if a_shared else (b, a)
+                other_partner = d if shared == c else c
+                if orientation(shared, other_own, other_partner) != COLLINEAR:
+                    continue
+            cached = pair_cache.get(pair_key)
+            if cached is None:
+                cached = tuple(segment_intersection(a, b, c, d))
+                pair_cache[pair_key] = cached
+            cut_points.update(cached)
         for point in extra:
             if point_on_segment(point, a, b):
                 cut_points.add(point)
-        ordered = _order_along_segment(a, b, cut_points, fast=candidates is not None)
+        ordered = _order_along_segment(a, b, cut_points)
         for start, end in zip(ordered, ordered[1:]):
             if start != end:
                 result.append((start, end))
@@ -125,27 +116,17 @@ def node_segments(
 
 
 def _order_along_segment(
-    a: Coordinate, b: Coordinate, points: set[Coordinate], fast: bool = False
+    a: Coordinate, b: Coordinate, points: set[Coordinate]
 ) -> list[Coordinate]:
     """Order split points along the segment from ``a`` to ``b``.
 
     All points are collinear with the segment, so the affine parameter is a
-    strictly monotone function of ``x`` (of ``y`` for vertical segments):
-    the ``fast`` ordering (vectorized mode) sorts by the ordinate itself —
-    the identical order without a Fraction division per point — while the
-    reference configuration keeps the historical parameter sort.
+    strictly monotone function of ``x`` (of ``y`` for vertical segments),
+    and sorting by that ordinate gives the parameter order.
     """
-    if fast:
-        if b.x != a.x:
-            return sorted(points, key=lambda p: p.x, reverse=b.x < a.x)
-        return sorted(points, key=lambda p: p.y, reverse=b.y < a.y)
-
-    def parameter(p: Coordinate) -> Fraction:
-        if b.x != a.x:
-            return (p.x - a.x) / (b.x - a.x)
-        return (p.y - a.y) / (b.y - a.y)
-
-    return sorted(points, key=parameter)
+    if b.x != a.x:
+        return sorted(points, key=lambda p: p.x, reverse=b.x < a.x)
+    return sorted(points, key=lambda p: p.y, reverse=b.y < a.y)
 
 
 def midpoint(a: Coordinate, b: Coordinate) -> Coordinate:
@@ -153,23 +134,18 @@ def midpoint(a: Coordinate, b: Coordinate) -> Coordinate:
     return Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
 
 
-class _ScaleMismatch(Exception):
-    """A query coordinate is not representable on the context's integer grid."""
-
-
 class OffsetContext:
-    """Precomputed integer view of one arrangement for clearance queries.
+    """Precomputed integer view of one arrangement for side-offset queries.
 
-    ``side_offsets`` needs, per sub-segment, the minimum squared distance
-    from the sub-segment's midpoint to every node and every non-incident
-    sub-segment.  Computed naively that is O(n) ``Fraction`` operations per
-    call, and ``Fraction`` arithmetic pays a gcd normalisation per operation
-    — the single hottest cost of the relate engine.  This context rescales
-    every coordinate once onto a common integer grid (twice the lcm of all
-    coordinate denominators, so midpoints are integral too) and answers the
-    same clearance queries with pure big-integer arithmetic.  The result is
-    the *identical* rational minimum — no epsilon, no rounding — just
-    computed without per-operation normalisation.
+    A side-offset witness needs, per sub-segment, the minimum squared
+    distance from the sub-segment's midpoint to every node and every
+    non-incident sub-segment.  This context rescales every coordinate once
+    onto a common integer grid (twice the lcm of all coordinate
+    denominators, so midpoints are integral too) and answers those
+    clearance queries with pure big-integer arithmetic: the exact rational
+    minimum, with no epsilon, no rounding and no per-operation gcd
+    normalisation.  Queries must come from the arrangement the context was
+    built for; a coordinate off its grid raises ``ValueError``.
     """
 
     def __init__(self, segments: Sequence[Segment], nodes: Iterable[Coordinate]):
@@ -203,7 +179,8 @@ class OffsetContext:
     def _scaled(self, point: Coordinate) -> tuple[int, int]:
         x, y = point.x, point.y
         if self.scale % x.denominator or self.scale % y.denominator:
-            raise _ScaleMismatch(point)
+            # A context answers queries about its own arrangement only.
+            raise ValueError(f"{point!r} is not on this context's grid")
         return (
             x.numerator * (self.scale // x.denominator),
             y.numerator * (self.scale // y.denominator),
@@ -212,7 +189,7 @@ class OffsetContext:
     def prescreen(self, query_segments: Sequence[Segment]) -> None:
         """Run the float clearance prescreen for a known query batch.
 
-        One numpy pass replaces a per-``min_clearance_sq``-call dispatch;
+        One numpy pass replaces a per-query dispatch;
         the per-query filter stays as the fallback for segments outside the
         batch.  No-op when the vectorized kernels are off.
         """
@@ -224,22 +201,21 @@ class OffsetContext:
         for segment, kept in zip(query_segments, batched):
             self._prescreened[segment] = kept
 
-    def min_clearance_sq(self, a: Coordinate, b: Coordinate) -> Fraction | None:
-        """Minimum positive squared clearance of segment ``a``–``b``'s
-        midpoint, as the exact Fraction the reference loop would produce."""
-        parts = self._min_clearance_parts(a, b)
-        if parts is None:
-            return None
-        return Fraction(*parts)
-
     def side_offset_points(
         self, a: Coordinate, b: Coordinate
     ) -> tuple[Coordinate, Coordinate]:
-        """Exact side-offset witnesses of segment ``a``–``b``, rational-for-
-        rational identical to :func:`side_offsets`' construction but with the
-        epsilon and offset arithmetic done on the integer grid (one Fraction
-        normalisation per produced ordinate instead of a chain of Fraction
-        operations on tiny-epsilon rationals)."""
+        """Two face-witness points just either side of segment ``a``–``b``'s
+        midpoint.
+
+        The offset distance is chosen exactly to be smaller than half the
+        distance from the midpoint to every node and to every other
+        sub-segment that does not pass through the midpoint, so each
+        returned point lies strictly inside one of the two arrangement faces
+        adjacent to the segment at its midpoint.  With ``clearance`` that
+        minimum squared distance (1 when there is none), the witnesses are
+        ``mid ± epsilon * normal`` where ``epsilon`` is
+        ``clearance / (8 * |ab|²)`` capped at 1/2, all computed on the
+        integer grid with one Fraction normalisation per ordinate."""
         ax, ay = self._scaled(a)
         bx, by = self._scaled(b)
         mx, my = (ax + bx) // 2, (ay + by) // 2
@@ -248,7 +224,7 @@ class OffsetContext:
         len_int = wx * wx + wy * wy
         parts = self._min_clearance_parts(a, b)
         if parts is None:
-            # min_clearance_sq falls back to 1 in the reference construction.
+            # Nothing else in the arrangement: any clearance will do.
             parts = (1, 1)
         clear_num, clear_den = parts
         # bound = (clear_num/clear_den) / (4 * len_int / scale²).
@@ -331,82 +307,3 @@ class OffsetContext:
         if best_num is None:
             return None
         return best_num, best_den
-
-
-def _min_clearance_sq_reference(
-    mid: Coordinate,
-    all_segments: Sequence[Segment],
-    all_nodes: Iterable[Coordinate],
-) -> Fraction | None:
-    """The original Fraction-arithmetic clearance loop (reference kernel)."""
-    min_clearance_sq: Fraction | None = None
-    for node in all_nodes:
-        d_sq = squared_distance(mid, node)
-        if d_sq > 0 and (min_clearance_sq is None or d_sq < min_clearance_sq):
-            min_clearance_sq = d_sq
-    for other in all_segments:
-        if point_on_segment(mid, other[0], other[1]):
-            continue
-        d_sq = segment_point_squared_distance(mid, other[0], other[1])
-        if d_sq > 0 and (min_clearance_sq is None or d_sq < min_clearance_sq):
-            min_clearance_sq = d_sq
-    return min_clearance_sq
-
-
-def side_offsets(
-    segment: Segment,
-    all_segments: Sequence[Segment],
-    all_nodes: Iterable[Coordinate],
-    context: OffsetContext | None = None,
-) -> tuple[Coordinate, Coordinate]:
-    """Two face-witness points just either side of a sub-segment's midpoint.
-
-    The offset distance is chosen exactly (as a Fraction) to be smaller than
-    half the distance from the midpoint to every node and to every other
-    sub-segment that does not pass through the midpoint, so each returned
-    point lies strictly inside one of the two arrangement faces adjacent to
-    the segment at its midpoint.
-
-    Callers looping over many sub-segments of one arrangement should build
-    an :class:`OffsetContext` once and pass it in; the clearance minimum is
-    then computed with integer arithmetic (identical value, far cheaper).
-    """
-    a, b = segment
-    fast = fast_kernels_enabled()
-    if fast and context is None:
-        context = OffsetContext(all_segments, all_nodes)
-    if vectorized_kernels_enabled():
-        # Vectorized kernels: the whole construction (clearance, epsilon,
-        # offset coordinates) stays on the integer grid — rational-for-
-        # rational the same witness points as the Fraction arithmetic below.
-        try:
-            return context.side_offset_points(a, b)
-        except _ScaleMismatch:
-            pass
-    mid = midpoint(a, b)
-    length_sq = squared_distance(a, b)
-
-    min_clearance_sq: Fraction | None = None
-    if fast:
-        try:
-            min_clearance_sq = context.min_clearance_sq(a, b)
-        except _ScaleMismatch:
-            min_clearance_sq = _min_clearance_sq_reference(mid, all_segments, all_nodes)
-    else:
-        min_clearance_sq = _min_clearance_sq_reference(mid, all_segments, all_nodes)
-
-    if min_clearance_sq is None:
-        min_clearance_sq = Fraction(1)
-
-    # Choose epsilon so that epsilon^2 * |segment|^2 < min_clearance_sq / 4.
-    bound = min_clearance_sq / (4 * length_sq)
-    if bound >= 1:
-        epsilon = Fraction(1, 2)
-    else:
-        epsilon = bound / 2
-
-    normal_x = -(b.y - a.y)
-    normal_y = b.x - a.x
-    left = Coordinate(mid.x + epsilon * normal_x, mid.y + epsilon * normal_y)
-    right = Coordinate(mid.x - epsilon * normal_x, mid.y - epsilon * normal_y)
-    return left, right

@@ -14,7 +14,7 @@ semantics without touching this module.
 from __future__ import annotations
 
 from repro.geometry.model import Geometry
-from repro.topology.relate import DEFAULT_OPTIONS, IntersectionMatrix, RelateOptions, relate
+from repro.topology.relate import DEFAULT_OPTIONS, RelateOptions, relate
 
 _COVERS_PATTERNS = ("T*****FF*", "*T****FF*", "***T**FF*", "****T*FF*")
 _COVERED_BY_PATTERNS = ("T*F**F***", "*TF**F***", "**FT*F***", "**F*TF***")
@@ -114,10 +114,3 @@ def overlaps(a: Geometry, b: Geometry, options: RelateOptions = DEFAULT_OPTIONS)
     if dim_a == 1:
         return matrix.matches("1*T***T**")
     return matrix.matches("T*T***T**")
-
-
-def relate_matrix(
-    a: Geometry, b: Geometry, options: RelateOptions = DEFAULT_OPTIONS
-) -> IntersectionMatrix:
-    """Convenience alias mirroring PostGIS ``ST_Relate(g1, g2)``."""
-    return relate(a, b, options)

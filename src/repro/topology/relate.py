@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.geometry.columnar import fast_kernels_enabled, vectorized_kernels_enabled
+from repro.geometry.columnar import vectorized_kernels_enabled
 from repro.geometry.model import Coordinate, Geometry
 from repro.topology.labels import (
     BOUNDARY,
@@ -33,12 +33,7 @@ from repro.topology.labels import (
     UNION_STRATEGY,
     TopologyDescriptor,
 )
-from repro.topology.noding import (
-    OffsetContext,
-    midpoint,
-    node_segments,
-    side_offsets,
-)
+from repro.topology.noding import OffsetContext, midpoint, node_segments
 
 _CLASS_INDEX = {INTERIOR: 0, BOUNDARY: 1, EXTERIOR: 2}
 _DIM_SYMBOLS = {-1: "F", 0: "0", 1: "1", 2: "2"}
@@ -280,10 +275,9 @@ def relate_descriptors(
     witness_points: list[Coordinate] = list(nodes)
     witness_dimensions: list[int] = [0] * len(witness_points)
 
-    # One integer-grid clearance context shared by every side-offset query of
-    # this arrangement (identical rationals, computed without per-operation
-    # Fraction normalisation); skipped entirely when the kernel is off.
-    offset_context = OffsetContext(noded_union, nodes) if fast_kernels_enabled() else None
+    # One integer-grid clearance context shared by every side-offset query
+    # of this arrangement.
+    offset_context = OffsetContext(noded_union, nodes)
     seen_midpoints: set[Coordinate] = set()
     unique_segments: list[tuple[tuple[Coordinate, Coordinate], Coordinate]] = []
     for segment in noded_union:
@@ -292,14 +286,13 @@ def relate_descriptors(
             continue
         seen_midpoints.add(mid)
         unique_segments.append((segment, mid))
-    if offset_context is not None:
-        # Vectorized kernels: one batched clearance prescreen for every
-        # side-offset query of this arrangement (no-op when they are off).
-        offset_context.prescreen([segment for segment, _ in unique_segments])
+    # Vectorized kernels: one batched clearance prescreen for every
+    # side-offset query of this arrangement (no-op when they are off).
+    offset_context.prescreen([segment for segment, _ in unique_segments])
     for segment, mid in unique_segments:
         witness_points.append(mid)
         witness_dimensions.append(1)
-        left, right = side_offsets(segment, noded_union, nodes, context=offset_context)
+        left, right = offset_context.side_offset_points(segment[0], segment[1])
         witness_points.append(left)
         witness_points.append(right)
         witness_dimensions.append(2)

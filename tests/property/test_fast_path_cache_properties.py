@@ -9,8 +9,9 @@ variants included — asserting that
 * every prepared-cache-routed predicate equals its direct
   ``topology.predicates`` counterpart, hit or miss, under both collection
   strategies;
-* the integer clearance kernel agrees with the Fraction reference kernel on
-  the arrangements those relate calls induce.
+* the integer-grid clearance, side-offset witnesses and noder agree with
+  their direct ``Fraction`` constructions (kept here as oracles) on ≥1000
+  seeded arrangements, with and without the fast path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.engine.database import connect
 from repro.engine.prepared import PreparedGeometryCache
 from repro.geometry import load_wkt
 from repro.geometry.model import (
+    Coordinate,
     GeometryCollection,
     LineString,
     MultiLineString,
@@ -40,8 +42,10 @@ from repro.topology.relate import (
     relate,
     relate_descriptors,
 )
+from tests.property import test_exact_predicates as exact
 
 CASES = 200
+ORACLE_CASES = 1000
 
 #: direct implementations of every prepared-cache-routed predicate.
 _DIRECT = {
@@ -158,43 +162,150 @@ def test_registry_fast_path_matches_direct_predicates():
         assert database.query_value(sql) == expected, sql  # warm repeat
 
 
+# ---------------------------------------------------------------------------
+# Fraction oracles for the side-offset witnesses and the noder: the direct
+# rational constructions the integer-grid code replaced.
+# ---------------------------------------------------------------------------
+
+
+def _squared_distance(p, q):
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
+def _segment_point_squared_distance(p, a, b):
+    if a == b:
+        return _squared_distance(p, a)
+    t = ((b.x - a.x) * (p.x - a.x) + (b.y - a.y) * (p.y - a.y)) / _squared_distance(a, b)
+    if t <= 0:
+        return _squared_distance(p, a)
+    if t >= 1:
+        return _squared_distance(p, b)
+    foot = Coordinate(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    return _squared_distance(p, foot)
+
+
+def _clearance_oracle(mid, segments, nodes):
+    """Minimum positive squared distance from ``mid`` to every node and to
+    every segment not passing through it (None when there is none)."""
+    best = None
+    for node in nodes:
+        d_sq = _squared_distance(mid, node)
+        if d_sq > 0 and (best is None or d_sq < best):
+            best = d_sq
+    for a, b in segments:
+        if exact._point_on_segment(mid, a, b):
+            continue
+        d_sq = _segment_point_squared_distance(mid, a, b)
+        if d_sq > 0 and (best is None or d_sq < best):
+            best = d_sq
+    return best
+
+
+def _witness_oracle(a, b, mid, clearance):
+    if clearance is None:
+        clearance = Fraction(1)
+    # epsilon² * |ab|² < clearance / 4
+    bound = clearance / (4 * _squared_distance(a, b))
+    epsilon = Fraction(1, 2) if bound >= 1 else bound / 2
+    normal_x, normal_y = -(b.y - a.y), b.x - a.x
+    return (
+        Coordinate(mid.x + epsilon * normal_x, mid.y + epsilon * normal_y),
+        Coordinate(mid.x - epsilon * normal_x, mid.y - epsilon * normal_y),
+    )
+
+
+def _node_segments_oracle(segments, extra_points=()):
+    """The pairwise noding loop: every pair, every extra point, split points
+    sorted by their affine parameter along the segment."""
+    segments = [s for s in segments if s[0] != s[1]]
+    result = []
+    for index, (a, b) in enumerate(segments):
+        cut_points = {a, b}
+        for other_index, (c, d) in enumerate(segments):
+            if other_index != index:
+                cut_points.update(exact._segment_intersection(a, b, c, d))
+        for point in extra_points:
+            if exact._point_on_segment(point, a, b):
+                cut_points.add(point)
+
+        def parameter(p, a=a, b=b):
+            if b.x != a.x:
+                return (p.x - a.x) / (b.x - a.x)
+            return (p.y - a.y) / (b.y - a.y)
+
+        ordered = sorted(cut_points, key=parameter)
+        for start, end in zip(ordered, ordered[1:]):
+            if start != end:
+                result.append((start, end))
+    return result
+
+
+def _arrangement(pool):
+    """A few segments (collinear overlaps, shared and on-segment endpoints,
+    zero-length pieces, huge-denominator witnesses) plus extra points, some
+    placed exactly at segment midpoints."""
+    rng = pool.rng
+    segments = []
+    for _ in range(rng.randint(1, 2)):
+        a1, a2, b1, b2 = pool.segment_pair()
+        segments.extend([(a1, a2), (b1, b2)])
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            a, b = rng.choice(segments)
+            extra.append(Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2))
+        else:
+            extra.append(pool.point())
+    return segments, extra
+
+
+def _same_rationals(left, right):
+    return [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in left] == [
+        (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in right
+    ]
+
+
 def test_fast_clearance_kernel_matches_reference():
+    """The integer-grid clearance and witnesses, and the noder on both
+    paths, equal the Fraction oracles above: clearances compared before the
+    epsilon cap can hide them, witnesses ordinate by ordinate."""
     from repro.geometry.columnar import set_fast_kernels
     from repro.topology import noding
 
-    rng = random.Random(97)
-    for _ in range(CASES):
-        count = rng.randint(2, 8)
-        points = [
-            noding.Coordinate(Fraction(rng.randint(-20, 20), rng.randint(1, 5)),
-                              Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
-            for _ in range(count)
-        ]
-        segments = [
-            (points[i], points[i + 1])
-            for i in range(count - 1)
-            if points[i] != points[i + 1]
-        ]
-        if not segments:
-            continue
-        noded = noding.node_segments(segments)
-        nodes = set()
-        for start, end in noded:
-            nodes.add(start)
-            nodes.add(end)
-        context = noding.OffsetContext(noded, nodes)
-        for segment in noded:
-            mid = noding.midpoint(segment[0], segment[1])
-            reference = noding._min_clearance_sq_reference(mid, noded, nodes)
-            fast = context.min_clearance_sq(segment[0], segment[1])
-            assert reference == fast, segment
-            with_context = noding.side_offsets(segment, noded, nodes, context=context)
-            previous = set_fast_kernels(False)
+    pool = exact._Pool(97)
+    for _ in range(ORACLE_CASES):
+        segments, extra = _arrangement(pool)
+
+        expected = _node_segments_oracle(segments, extra)
+        for fast in (False, True):
+            previous = set_fast_kernels(fast)
             try:
-                without_fast_path = noding.side_offsets(segment, noded, nodes)
+                assert noding.node_segments(segments, extra) == expected, (fast, segments)
             finally:
                 set_fast_kernels(previous)
-            assert with_context == without_fast_path
+
+        nodes = set(extra)
+        for start, end in expected:
+            nodes.add(start)
+            nodes.add(end)
+        # The noded arrangement with its nodes (what relate and overlay
+        # query), and the raw segments with only the extra points as nodes:
+        # there, clearances come from the segment terms, zero-length
+        # segments and collinear pieces included, and the epsilon cap is
+        # reachable.
+        for arrangement, arrangement_nodes in ((expected, nodes), (segments, set(extra))):
+            context = noding.OffsetContext(arrangement, arrangement_nodes)
+            context.prescreen(arrangement)
+            for a, b in arrangement:
+                mid = Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
+                reference = _clearance_oracle(mid, arrangement, arrangement_nodes)
+                parts = context._min_clearance_parts(a, b)
+                assert (None if parts is None else Fraction(*parts)) == reference, (a, b)
+                if a == b:
+                    continue
+                witnesses = context.side_offset_points(a, b)
+                oracle = _witness_oracle(a, b, mid, reference)
+                assert _same_rationals(witnesses, oracle), (a, b)
 
 
 def test_interned_parser_returns_equal_shared_objects():

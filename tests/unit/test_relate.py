@@ -216,3 +216,24 @@ class TestDescriptor:
             load_wkt("GEOMETRYCOLLECTION(POINT(0 0),POLYGON((0 0,1 0,0 1,0 0)))")
         )
         assert descriptor.dimension == 2
+
+
+class TestOffsetContext:
+    def test_query_off_the_context_grid_raises(self):
+        from fractions import Fraction
+
+        from repro.geometry.model import Coordinate
+        from repro.topology.noding import OffsetContext
+
+        # Built for an integer arrangement: the grid is the half-integers.
+        square = [
+            (Coordinate(0, 0), Coordinate(2, 0)),
+            (Coordinate(2, 0), Coordinate(2, 2)),
+        ]
+        context = OffsetContext(square, [Coordinate(0, 0), Coordinate(2, 0)])
+        left, right = context.side_offset_points(*square[0])
+        assert left.y > 0 > right.y
+        # A segment of another arrangement, with thirds, is not on that grid.
+        foreign = (Coordinate(Fraction(1, 3), 0), Coordinate(1, 1))
+        with pytest.raises(ValueError):
+            context.side_offset_points(*foreign)
