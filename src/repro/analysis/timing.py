@@ -60,14 +60,6 @@ class TimeSplit:
             return 0.0
         return self.sdbms_seconds / self.spatter_seconds
 
-    def cache_hit_rate(self, layer: str) -> float:
-        """Hit rate of one cache layer (``prepared``, ``relate`` or
-        ``interner``); 0.0 when the layer saw no traffic."""
-        hits = self.cache_stats.get(f"{layer}_hits", 0)
-        misses = self.cache_stats.get(f"{layer}_misses", 0)
-        total = hits + misses
-        return hits / total if total else 0.0
-
 
 def measure_campaign_time_split(
     dialect: str,

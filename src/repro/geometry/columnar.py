@@ -23,6 +23,11 @@ counterparts — the float layer only prunes work, it never decides a close
 call.  NaN/inf propagation is safe by construction: any non-finite value
 fails the certainty comparison and takes the exact fallback.
 
+Only pruning that integer arithmetic cannot do lives here: point location,
+segment-pair screening and envelope blocks.  Side-offset witnesses need no
+float stage, because their clearance comes from a lattice bound of the
+integer grid (:class:`repro.topology.noding.OffsetContext`).
+
 Everything is gated behind the fast path's process-wide switch
 (:func:`set_fast_kernels`) so campaigns can run optimised-vs-reference
 differentially, and degrades to the scalar implementations when numpy is
@@ -140,12 +145,6 @@ def _conversion_error(values):
 def _sub(av, ae, bv, be):
     """(value, bound) of ``a - b`` for error-tracked floats or arrays."""
     v = av - bv
-    return v, ae + be + _EPS * abs(v) + _TINY
-
-
-def _add(av, ae, bv, be):
-    """(value, bound) of ``a + b`` for error-tracked floats or arrays."""
-    v = av + bv
     return v, ae + be + _EPS * abs(v) + _TINY
 
 
@@ -489,136 +488,6 @@ def segment_pair_candidates(
         [(int(j), bool(proper[i, j])) for j in np.nonzero(row)[0]]
         for i, row in enumerate(candidate)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Clearance prescreen (side-offset witness construction)
-# ---------------------------------------------------------------------------
-
-
-class ClearanceFilter:
-    """Float prescreen for ``OffsetContext``'s clearance queries.
-
-    The exact clearance kernel scans every node and every segment of an
-    arrangement per midpoint query.  This filter computes, per candidate, a
-    certified interval for its squared distance to the query midpoint and
-    returns only the candidates whose interval can still reach the minimum
-    positive clearance; the caller evaluates exactly those with the exact
-    kernel, producing the identical rational minimum.
-
-    Intervals are deliberately loose where case analysis would be needed:
-    a segment's squared distance is bracketed by ``[distance-to-supporting-
-    line, min(distance to either endpoint)]``, which holds for every
-    position of the projection foot.  Candidates whose interval reaches
-    zero are always kept — the exact kernel is what decides whether they
-    are the excluded zero-distance incidences or a tiny positive minimum.
-    """
-
-    def __init__(self, segments: Sequence[Segment], nodes: Sequence[Coordinate]):
-        self._ok = np is not None and (len(segments) > 0 or len(nodes) > 0)
-        if not self._ok:
-            return
-        nxv = np.array([_to_float(p.x) for p in nodes])
-        nyv = np.array([_to_float(p.y) for p in nodes])
-        self._nxv, self._nxe = nxv, _conversion_error(nxv)
-        self._nyv, self._nye = nyv, _conversion_error(nyv)
-        saxv = np.array([_to_float(s[0].x) for s in segments])
-        sayv = np.array([_to_float(s[0].y) for s in segments])
-        sbxv = np.array([_to_float(s[1].x) for s in segments])
-        sbyv = np.array([_to_float(s[1].y) for s in segments])
-        self._saxv, self._saxe = saxv, _conversion_error(saxv)
-        self._sayv, self._saye = sayv, _conversion_error(sayv)
-        self._sbxv, self._sbxe = sbxv, _conversion_error(sbxv)
-        self._sbyv, self._sbye = sbyv, _conversion_error(sbyv)
-        self._sexv, self._sexe = _sub(sbxv, self._sbxe, saxv, self._saxe)
-        self._seyv, self._seye = _sub(sbyv, self._sbye, sayv, self._saye)
-        ex2 = _mul(self._sexv, self._sexe, self._sexv, self._sexe)
-        ey2 = _mul(self._seyv, self._seye, self._seyv, self._seye)
-        self._slen2v, self._slen2e = _add(*ex2, *ey2)
-
-    @staticmethod
-    def _squared_gap(dxv, dxe, dyv, dye):
-        x2 = _mul(dxv, dxe, dxv, dxe)
-        y2 = _mul(dyv, dye, dyv, dye)
-        return _add(*x2, *y2)
-
-    def candidates(
-        self, a: Coordinate, b: Coordinate
-    ) -> tuple[list[int], list[int]] | None:
-        """Node / segment indices that may decide the minimum positive
-        clearance of segment ``a``–``b``'s midpoint (``None``: scan all)."""
-        batch = self.candidates_many([(a, b)])
-        return None if batch is None else batch[0]
-
-    def candidates_many(
-        self, queries: Sequence[Segment]
-    ) -> list[tuple[list[int], list[int]]] | None:
-        """Batch :meth:`candidates` for many query segments at once.
-
-        One numpy dispatch covers every midpoint query of an arrangement
-        (the per-query path pays ~30 array-op dispatches each), broadcasting
-        the candidate intervals to ``(queries, nodes)`` / ``(queries,
-        segments)`` matrices.  Row ``i`` is exactly what :meth:`candidates`
-        returns for ``queries[i]``.
-        """
-        if not self._ok or not queries:
-            return None
-        axv = np.array([_to_float(q[0].x) for q in queries])
-        ayv = np.array([_to_float(q[0].y) for q in queries])
-        bxv = np.array([_to_float(q[1].x) for q in queries])
-        byv = np.array([_to_float(q[1].y) for q in queries])
-        axe, aye = _conversion_error(axv), _conversion_error(ayv)
-        bxe, bye = _conversion_error(bxv), _conversion_error(byv)
-        sxv, sxe = _add(axv, axe, bxv, bxe)
-        syv, sye = _add(ayv, aye, byv, bye)
-        mxv, mxe = (sxv * 0.5)[:, None], (sxe * 0.5)[:, None]
-        myv, mye = (syv * 0.5)[:, None], (sye * 0.5)[:, None]
-
-        # Node intervals, (queries, nodes).
-        ndxv, ndxe = _sub(mxv, mxe, self._nxv[None, :], self._nxe[None, :])
-        ndyv, ndye = _sub(myv, mye, self._nyv[None, :], self._nye[None, :])
-        nd2v, nd2e = self._squared_gap(ndxv, ndxe, ndyv, ndye)
-        node_lo = nd2v - nd2e
-        node_hi = nd2v + nd2e
-
-        # Segment intervals, (queries, segments): [line distance,
-        # min(endpoint distances)].
-        vdxv, vdxe = _sub(mxv, mxe, self._saxv[None, :], self._saxe[None, :])
-        vdyv, vdye = _sub(myv, mye, self._sayv[None, :], self._saye[None, :])
-        da2v, da2e = self._squared_gap(vdxv, vdxe, vdyv, vdye)
-        wdxv, wdxe = _sub(mxv, mxe, self._sbxv[None, :], self._sbxe[None, :])
-        wdyv, wdye = _sub(myv, mye, self._sbyv[None, :], self._sbye[None, :])
-        db2v, db2e = self._squared_gap(wdxv, wdxe, wdyv, wdye)
-        t1v, t1e = _mul(vdxv, vdxe, self._seyv[None, :], self._seye[None, :])
-        t2v, t2e = _mul(vdyv, vdye, self._sexv[None, :], self._sexe[None, :])
-        crossv, crosse = _sub(t1v, t1e, t2v, t2e)
-        cross_lo = np.maximum(np.abs(crossv) - crosse, 0.0)
-        len2_hi = (self._slen2v + self._slen2e)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            line_lo = (cross_lo * cross_lo) / len2_hi
-        seg_lo = np.where(np.isfinite(line_lo), np.maximum(line_lo, 0.0), 0.0)
-        seg_hi = np.minimum(da2v + da2e, db2v + db2e)
-
-        # Per-query upper bound on the minimum positive clearance: the
-        # smallest hi of any certainly-positive candidate.  Candidates above
-        # it cannot be the minimum; everything else (including possible
-        # zero-distance incidences) goes to the exact kernel.
-        bound = np.full(len(queries), np.inf)
-        if node_lo.shape[1]:
-            positive_node_hi = np.where(node_lo > 0.0, node_hi, np.inf)
-            bound = np.minimum(bound, positive_node_hi.min(axis=1))
-        if seg_lo.shape[1]:
-            positive_seg_hi = np.where(
-                (seg_lo > 0.0) & np.isfinite(seg_hi), seg_hi, np.inf
-            )
-            bound = np.minimum(bound, positive_seg_hi.min(axis=1))
-
-        results: list[tuple[list[int], list[int]]] = []
-        for i in range(len(queries)):
-            keep_nodes = np.nonzero(~(node_lo[i] > bound[i]))[0].tolist()
-            keep_segments = np.nonzero(~(seg_lo[i] > bound[i]))[0].tolist()
-            results.append((keep_nodes, keep_segments))
-        return results
 
 
 # ---------------------------------------------------------------------------

@@ -365,29 +365,30 @@ class TopologyDescriptor:
     def locate_many(
         self,
         points: Sequence[Coordinate],
-        face_interior: Sequence[bool] | None = None,
+        columns: PointColumns | None = None,
     ) -> list[str]:
         """Batch :meth:`locate` over many points (identical classifications).
 
         Components dispatch to their float-filtered batch locators when the
         vectorized kernels are enabled; otherwise this is the scalar locator
-        in a loop.  ``face_interior`` optionally certifies points as strictly
-        interior to an arrangement face spanning this geometry's segments
-        and nodes (see :class:`~repro.geometry.columnar.PointColumns`); it
-        is consulted only on the vectorized path.
+        in a loop.  ``columns`` optionally supplies the batch's float
+        conversion (see :class:`~repro.geometry.columnar.PointColumns`), so
+        callers locating one batch in several geometries convert it once; it
+        may certify points as strictly interior to an arrangement face
+        spanning this geometry's segments and nodes, and is consulted only
+        on the vectorized path.
         """
         points = list(points)
         if not points:
             return []
         if not self.components:
             return [EXTERIOR] * len(points)
-        shared = (
-            PointColumns(points, face_interior)
-            if vectorized_kernels_enabled()
-            else None
-        )
+        if not vectorized_kernels_enabled():
+            columns = None
+        elif columns is None:
+            columns = PointColumns(points)
         per_component = [
-            component.locate_many(points, shared) for component in self.components
+            component.locate_many(points, columns) for component in self.components
         ]
         return [
             combine_classes(

@@ -11,13 +11,13 @@ interior of every face.
 The implementation is an O(n²) pairwise noder.  Side-offset witnesses —
 the points just either side of a sub-segment's midpoint that sample the
 arrangement's faces — are built exactly on an integer grid
-(:class:`OffsetContext`), whichever path runs.  The paper's generator
-produces geometries with a handful of vertices, yet relate runs on every
-cold geometry pair, so the fast path additionally prunes candidate pairs
-and clearance candidates with certified float prescreens
-(:func:`~repro.geometry.columnar.segment_pair_candidates`,
-:class:`~repro.geometry.columnar.ClearanceFilter`); they only skip work and
-never change a result.
+(:class:`OffsetContext`), whichever path runs; the grid itself bounds every
+midpoint's clearance from below, so no per-midpoint distance search is
+needed.  The paper's generator produces geometries with a handful of
+vertices, yet relate runs on every cold geometry pair, so the fast path
+additionally prunes candidate segment pairs with a certified float
+prescreen (:func:`~repro.geometry.columnar.segment_pair_candidates`); it
+only skips work and never changes a result.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from repro.geometry.columnar import (
-    ClearanceFilter,
-    segment_pair_candidates,
-    vectorized_kernels_enabled,
-)
+from repro.geometry.columnar import segment_pair_candidates
 from repro.geometry.model import Coordinate
 from repro.geometry.primitives import (
     COLLINEAR,
@@ -135,30 +131,27 @@ def midpoint(a: Coordinate, b: Coordinate) -> Coordinate:
 
 
 class OffsetContext:
-    """Precomputed integer view of one arrangement for side-offset queries.
+    """Integer-grid view of one arrangement for side-offset witnesses.
 
-    A side-offset witness needs, per sub-segment, the minimum squared
-    distance from the sub-segment's midpoint to every node and every
-    non-incident sub-segment.  This context rescales every coordinate once
-    onto a common integer grid (twice the lcm of all coordinate
-    denominators, so midpoints are integral too) and answers those
-    clearance queries with pure big-integer arithmetic: the exact rational
-    minimum, with no epsilon, no rounding and no per-operation gcd
-    normalisation.  Queries must come from the arrangement the context was
-    built for; a coordinate off its grid raises ``ValueError``.
+    The context rescales every coordinate once onto a common integer grid:
+    the scale ``S`` is twice the lcm of all coordinate denominators, so
+    every node and every sub-segment midpoint has integer grid coordinates.
+    That lattice gives a lower bound on every midpoint's clearance (the
+    minimum positive squared distance to a node or to a segment not passing
+    through it) without searching for the minimum: a node other than the
+    midpoint is at least one grid unit away, and a segment ``PQ`` not
+    containing it is at least ``1/|PQ|`` grid units away (either their
+    cross product is a nonzero integer or the nearest point is an
+    endpoint).  Every clearance is therefore at least ``1 / (L * S²)``,
+    with ``L`` the largest squared segment length on the grid, and a
+    witness offset below half that distance lies strictly inside a face.
+    Queries must come from the arrangement the context was built for; a
+    coordinate off its grid raises ``ValueError``.
     """
 
     def __init__(self, segments: Sequence[Segment], nodes: Iterable[Coordinate]):
-        node_list = list(nodes)
-        # Float prescreen narrowing each clearance query to the few
-        # candidates that can decide the minimum (vectorized kernels only;
-        # the exact kernel below still produces the identical rational).
-        self._filter = (
-            ClearanceFilter(segments, node_list) if vectorized_kernels_enabled() else None
-        )
-        self._prescreened: dict[Segment, tuple[list[int], list[int]]] = {}
         denominators = set()
-        for point in node_list:
+        for point in nodes:
             denominators.add(point.x.denominator)
             denominators.add(point.y.denominator)
         for start, end in segments:
@@ -167,14 +160,17 @@ class OffsetContext:
             denominators.add(end.x.denominator)
             denominators.add(end.y.denominator)
         self.scale = 2 * (math.lcm(*denominators) if denominators else 1)
-        self._scale_sq = self.scale * self.scale
-        self.nodes = [self._scaled(point) for point in node_list]
-        self.segments = []
+        max_len = 0
         for start, end in segments:
             sx, sy = self._scaled(start)
             ex, ey = self._scaled(end)
-            wx, wy = ex - sx, ey - sy
-            self.segments.append((sx, sy, ex, ey, wx, wy, wx * wx + wy * wy))
+            max_len = max(max_len, (ex - sx) ** 2 + (ey - sy) ** 2)
+        self._max_len = max_len
+
+    @property
+    def clearance_bound(self) -> Fraction:
+        """Lower bound on every midpoint's positive squared clearance."""
+        return Fraction(1, max(self._max_len, 1) * self.scale**2)
 
     def _scaled(self, point: Coordinate) -> tuple[int, int]:
         x, y = point.x, point.y
@@ -186,124 +182,68 @@ class OffsetContext:
             y.numerator * (self.scale // y.denominator),
         )
 
-    def prescreen(self, query_segments: Sequence[Segment]) -> None:
-        """Run the float clearance prescreen for a known query batch.
-
-        One numpy pass replaces a per-query dispatch;
-        the per-query filter stays as the fallback for segments outside the
-        batch.  No-op when the vectorized kernels are off.
-        """
-        if self._filter is None or not query_segments:
-            return
-        batched = self._filter.candidates_many(query_segments)
-        if batched is None:
-            return
-        for segment, kept in zip(query_segments, batched):
-            self._prescreened[segment] = kept
-
     def side_offset_points(
         self, a: Coordinate, b: Coordinate
     ) -> tuple[Coordinate, Coordinate]:
         """Two face-witness points just either side of segment ``a``–``b``'s
         midpoint.
 
-        The offset distance is chosen exactly to be smaller than half the
-        distance from the midpoint to every node and to every other
-        sub-segment that does not pass through the midpoint, so each
-        returned point lies strictly inside one of the two arrangement faces
-        adjacent to the segment at its midpoint.  With ``clearance`` that
-        minimum squared distance (1 when there is none), the witnesses are
-        ``mid ± epsilon * normal`` where ``epsilon`` is
-        ``clearance / (8 * |ab|²)`` capped at 1/2, all computed on the
-        integer grid with one Fraction normalisation per ordinate."""
+        Each returned point's squared distance to the midpoint is below a
+        quarter of :attr:`clearance_bound`, so it lies strictly inside one
+        of the two arrangement faces adjacent to the segment at its
+        midpoint."""
         ax, ay = self._scaled(a)
         bx, by = self._scaled(b)
-        mx, my = (ax + bx) // 2, (ay + by) // 2
-        # length_sq = len_int / scale², exactly.
-        wx, wy = bx - ax, by - ay
-        len_int = wx * wx + wy * wy
-        parts = self._min_clearance_parts(a, b)
-        if parts is None:
-            # Nothing else in the arrangement: any clearance will do.
-            parts = (1, 1)
-        clear_num, clear_den = parts
-        # bound = (clear_num/clear_den) / (4 * len_int / scale²).
-        bound_num = clear_num * self._scale_sq
-        bound_den = 4 * clear_den * len_int
-        if bound_num >= bound_den:
-            eps_num, eps_den = 1, 2
-        else:
-            eps_num, eps_den = bound_num, bound_den * 2
-        # normal = (-(b.y - a.y), b.x - a.x) scales to (-wy, wx); offsets are
-        # (mid ± epsilon * normal) / scale with every term on a common
-        # integer denominator.
-        den = eps_den * self.scale
-        left = Coordinate(
-            Fraction(mx * eps_den - eps_num * wy, den),
-            Fraction(my * eps_den + eps_num * wx, den),
-        )
-        right = Coordinate(
-            Fraction(mx * eps_den + eps_num * wy, den),
-            Fraction(my * eps_den - eps_num * wx, den),
-        )
-        return left, right
+        return self._offsets(ax, ay, bx, by)
 
-    def _min_clearance_parts(
-        self, a: Coordinate, b: Coordinate
-    ) -> tuple[int, int] | None:
-        """Minimum positive squared clearance as an unnormalised (num, den)."""
-        ax, ay = self._scaled(a)
-        bx, by = self._scaled(b)
+    def face_witnesses(
+        self, segments: Iterable[Segment]
+    ) -> list[tuple[Coordinate, Coordinate, Coordinate]]:
+        """``(midpoint, left, right)`` for every distinct midpoint of
+        ``segments``, in first-seen order (duplicate sub-segments of
+        overlapping inputs share a midpoint and are witnessed once)."""
+        scale = self.scale
+        seen: set[tuple[int, int]] = set()
+        witnesses = []
+        for a, b in segments:
+            ax, ay = self._scaled(a)
+            bx, by = self._scaled(b)
+            mid = ((ax + bx) // 2, (ay + by) // 2)
+            if mid in seen:
+                continue
+            seen.add(mid)
+            left, right = self._offsets(ax, ay, bx, by)
+            witnesses.append(
+                (Coordinate(Fraction(mid[0], scale), Fraction(mid[1], scale)), left, right)
+            )
+        return witnesses
+
+    def _offsets(
+        self, ax: int, ay: int, bx: int, by: int
+    ) -> tuple[Coordinate, Coordinate]:
         # Both endpoints are even multiples of the base lcm (scale = 2*lcm),
         # so the midpoint is integral on the same grid.
         mx, my = (ax + bx) // 2, (ay + by) // 2
-
-        # Track the minimum as an unnormalised rational (num, den); compare
-        # candidates by cross-multiplication to avoid gcd work.
-        best_num: int | None = None
-        best_den = 1
-
-        node_pool = self.nodes
-        segment_pool = self.segments
-        if self._filter is not None:
-            prescreen = self._prescreened.get((a, b))
-            if prescreen is None:
-                prescreen = self._filter.candidates(a, b)
-            if prescreen is not None:
-                node_indices, segment_indices = prescreen
-                node_pool = [self.nodes[i] for i in node_indices]
-                segment_pool = [self.segments[i] for i in segment_indices]
-
-        for nx, ny in node_pool:
-            dx, dy = mx - nx, my - ny
-            num = dx * dx + dy * dy
-            if num and (best_num is None or num * best_den < best_num * self._scale_sq):
-                best_num, best_den = num, self._scale_sq
-
-        for sx, sy, ex, ey, wx, wy, len_sq in segment_pool:
-            vx, vy = mx - sx, my - sy
-            if len_sq == 0:
-                # Degenerate (zero-length) input segment: it "contains" the
-                # midpoint only if it coincides with it; otherwise it is a
-                # point at distance |v|.
-                num = vx * vx + vy * vy
-                if num and (best_num is None or num * best_den < best_num * self._scale_sq):
-                    best_num, best_den = num, self._scale_sq
-                continue
-            cross = vx * wy - vy * wx
-            dotv = vx * wx + vy * wy
-            if cross == 0 and 0 <= dotv <= len_sq:
-                continue  # the segment passes through the midpoint
-            if dotv <= 0:
-                num, den = vx * vx + vy * vy, self._scale_sq
-            elif dotv >= len_sq:
-                ux, uy = mx - ex, my - ey
-                num, den = ux * ux + uy * uy, self._scale_sq
-            else:
-                num, den = cross * cross, len_sq * self._scale_sq
-            if num and (best_num is None or num * best_den < best_num * den):
-                best_num, best_den = num, den
-
-        if best_num is None:
-            return None
-        return best_num, best_den
+        wx, wy = bx - ax, by - ay
+        len_int = wx * wx + wy * wy
+        # The witnesses are mid ± epsilon * normal, with epsilon the smaller
+        # of 1/2 and bound/2, where bound = clearance / (4 * |ab|²) keeps
+        # epsilon² * |ab|² below clearance / 4.  With the lattice clearance
+        # 1 / (max_len * scale²) and |ab|² = len_int / scale², the scale
+        # cancels: bound = 1 / bound_den.
+        bound_den = 4 * self._max_len * len_int
+        # Only a zero-length query reaches the cap (its normal is zero, so
+        # both witnesses collapse onto the midpoint).
+        eps_den = 2 * bound_den if bound_den else 2
+        # normal = (-(b.y - a.y), b.x - a.x) scales to (-wy, wx); offsets are
+        # (mid ± normal / eps_den) / scale on one common integer denominator.
+        den = eps_den * self.scale
+        left = Coordinate(
+            Fraction(mx * eps_den - wy, den),
+            Fraction(my * eps_den + wx, den),
+        )
+        right = Coordinate(
+            Fraction(mx * eps_den + wy, den),
+            Fraction(my * eps_den - wx, den),
+        )
+        return left, right

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.geometry.columnar import vectorized_kernels_enabled
+from repro.geometry.columnar import PointColumns, vectorized_kernels_enabled
 from repro.geometry.model import Coordinate, Geometry
 from repro.topology.labels import (
     BOUNDARY,
@@ -33,7 +33,7 @@ from repro.topology.labels import (
     UNION_STRATEGY,
     TopologyDescriptor,
 )
-from repro.topology.noding import OffsetContext, midpoint, node_segments
+from repro.topology.noding import OffsetContext, node_segments
 
 _CLASS_INDEX = {INTERIOR: 0, BOUNDARY: 1, EXTERIOR: 2}
 _DIM_SYMBOLS = {-1: "F", 0: "0", 1: "1", 2: "2"}
@@ -275,41 +275,27 @@ def relate_descriptors(
     witness_points: list[Coordinate] = list(nodes)
     witness_dimensions: list[int] = [0] * len(witness_points)
 
-    # One integer-grid clearance context shared by every side-offset query
-    # of this arrangement.
-    offset_context = OffsetContext(noded_union, nodes)
-    seen_midpoints: set[Coordinate] = set()
-    unique_segments: list[tuple[tuple[Coordinate, Coordinate], Coordinate]] = []
-    for segment in noded_union:
-        mid = midpoint(segment[0], segment[1])
-        if mid in seen_midpoints:
-            continue
-        seen_midpoints.add(mid)
-        unique_segments.append((segment, mid))
-    # Vectorized kernels: one batched clearance prescreen for every
-    # side-offset query of this arrangement (no-op when they are off).
-    offset_context.prescreen([segment for segment, _ in unique_segments])
-    for segment, mid in unique_segments:
-        witness_points.append(mid)
-        witness_dimensions.append(1)
-        left, right = offset_context.side_offset_points(segment[0], segment[1])
-        witness_points.append(left)
-        witness_points.append(right)
-        witness_dimensions.append(2)
-        witness_dimensions.append(2)
+    # One integer-grid context builds every side-offset witness of this
+    # arrangement.
+    for witnesses in OffsetContext(noded_union, nodes).face_witnesses(noded_union):
+        witness_points.extend(witnesses)  # midpoint, left, right
+        witness_dimensions.extend((1, 2, 2))
 
     # Dimension-2 witnesses carry an exact certificate from the side-offset
     # construction: they lie strictly inside an arrangement face, hence on
     # no segment and at no node of either geometry.  The locators use it to
     # skip boundary confirmations (vectorized kernels only; the scalar
-    # reference path never consults it).
-    face_interior = (
-        [dimension == 2 for dimension in witness_dimensions]
+    # reference path never consults it).  Both descriptors share one float
+    # conversion of the batch.
+    columns = (
+        PointColumns(
+            witness_points, [dimension == 2 for dimension in witness_dimensions]
+        )
         if vectorized_kernels_enabled()
         else None
     )
-    classes_a = descriptor_a.locate_many(witness_points, face_interior)
-    classes_b = descriptor_b.locate_many(witness_points, face_interior)
+    classes_a = descriptor_a.locate_many(witness_points, columns)
+    classes_b = descriptor_b.locate_many(witness_points, columns)
     for class_a, class_b, cell_dimension in zip(classes_a, classes_b, witness_dimensions):
         matrix.set(class_a, class_b, cell_dimension)
 

@@ -2,10 +2,11 @@
 
 ``CampaignConfig.fast_path`` is the one speed switch.  On, a campaign runs
 the optimised path: prepared-predicate caching, auto-built STR prefilters,
-the integer clearance kernel, the numpy geometry kernels with batch SELECT
-pipelines, and direct bulk-load of parsed geometry into in-process
-sessions.  Off, it runs the scalar reference: row-at-a-time execution,
-``Fraction`` kernels and CREATE/INSERT SQL replay.  The optimised path is
+the numpy geometry prescreens with batch SELECT pipelines, and direct
+bulk-load of parsed geometry into in-process sessions.  Off, it runs the
+scalar reference: row-at-a-time execution, unscreened scalar locators and
+CREATE/INSERT SQL replay.  Both share one exact integer-grid arithmetic
+(predicates and lattice-bounded side-offset witnesses).  The optimised path is
 only admissible if both are observably identical, so these tests run
 full-registry campaigns (all seven scenarios plus the single-database
 oracle families) over several seeds on both backends in both modes and

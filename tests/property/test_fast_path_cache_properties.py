@@ -9,9 +9,10 @@ variants included — asserting that
 * every prepared-cache-routed predicate equals its direct
   ``topology.predicates`` counterpart, hit or miss, under both collection
   strategies;
-* the integer-grid clearance, side-offset witnesses and noder agree with
-  their direct ``Fraction`` constructions (kept here as oracles) on ≥1000
-  seeded arrangements, with and without the fast path.
+* the noder agrees with its direct ``Fraction`` construction (kept here
+  as an oracle), and the integer-grid side-offset witnesses stay inside
+  the exact clearance the ``Fraction`` oracle computes, on ≥1000 seeded
+  arrangements, with and without the fast path.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.geometry.model import (
     Point,
     Polygon,
 )
+from repro.geometry.primitives import CLOCKWISE, COUNTERCLOCKWISE
 from repro.topology import predicates
 from repro.topology.labels import LAST_ONE_WINS_STRATEGY, TopologyDescriptor
 from repro.topology.relate import (
@@ -201,19 +203,6 @@ def _clearance_oracle(mid, segments, nodes):
     return best
 
 
-def _witness_oracle(a, b, mid, clearance):
-    if clearance is None:
-        clearance = Fraction(1)
-    # epsilon² * |ab|² < clearance / 4
-    bound = clearance / (4 * _squared_distance(a, b))
-    epsilon = Fraction(1, 2) if bound >= 1 else bound / 2
-    normal_x, normal_y = -(b.y - a.y), b.x - a.x
-    return (
-        Coordinate(mid.x + epsilon * normal_x, mid.y + epsilon * normal_y),
-        Coordinate(mid.x - epsilon * normal_x, mid.y - epsilon * normal_y),
-    )
-
-
 def _node_segments_oracle(segments, extra_points=()):
     """The pairwise noding loop: every pair, every extra point, split points
     sorted by their affine parameter along the segment."""
@@ -259,16 +248,24 @@ def _arrangement(pool):
     return segments, extra
 
 
-def _same_rationals(left, right):
-    return [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in left] == [
-        (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator) for p in right
-    ]
+def assert_witness_properties(context, a, b, mid, clearance):
+    """The properties relate relies on, checked in exact Fractions: the
+    lattice bound never exceeds the true minimum positive clearance, both
+    witnesses sit closer to the midpoint than half that clearance, and they
+    lie strictly left and right of the directed segment."""
+    left, right = context.side_offset_points(a, b)
+    if clearance is not None:
+        assert context.clearance_bound <= clearance, (a, b)
+        assert 4 * _squared_distance(mid, left) < clearance, (a, b)
+        assert 4 * _squared_distance(mid, right) < clearance, (a, b)
+    assert exact._orientation(a, b, left) == COUNTERCLOCKWISE, (a, b)
+    assert exact._orientation(a, b, right) == CLOCKWISE, (a, b)
 
 
 def test_fast_clearance_kernel_matches_reference():
-    """The integer-grid clearance and witnesses, and the noder on both
-    paths, equal the Fraction oracles above: clearances compared before the
-    epsilon cap can hide them, witnesses ordinate by ordinate."""
+    """The noder on both paths equals the Fraction oracle above, and the
+    integer-grid side-offset witnesses keep the clearance properties relate
+    relies on against the exact clearance oracle."""
     from repro.geometry.columnar import set_fast_kernels
     from repro.topology import noding
 
@@ -291,21 +288,25 @@ def test_fast_clearance_kernel_matches_reference():
         # The noded arrangement with its nodes (what relate and overlay
         # query), and the raw segments with only the extra points as nodes:
         # there, clearances come from the segment terms, zero-length
-        # segments and collinear pieces included, and the epsilon cap is
-        # reachable.
+        # segments and collinear pieces included.
         for arrangement, arrangement_nodes in ((expected, nodes), (segments, set(extra))):
             context = noding.OffsetContext(arrangement, arrangement_nodes)
-            context.prescreen(arrangement)
             for a, b in arrangement:
-                mid = Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
-                reference = _clearance_oracle(mid, arrangement, arrangement_nodes)
-                parts = context._min_clearance_parts(a, b)
-                assert (None if parts is None else Fraction(*parts)) == reference, (a, b)
                 if a == b:
                     continue
-                witnesses = context.side_offset_points(a, b)
-                oracle = _witness_oracle(a, b, mid, reference)
-                assert _same_rationals(witnesses, oracle), (a, b)
+                mid = Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
+                clearance = _clearance_oracle(mid, arrangement, arrangement_nodes)
+                assert_witness_properties(context, a, b, mid, clearance)
+
+        # relate's batch: one (midpoint, left, right) per distinct midpoint
+        # of the noded arrangement, in first-seen order.
+        context = noding.OffsetContext(expected, nodes)
+        first_segment = {}
+        for a, b in expected:
+            first_segment.setdefault(Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2), (a, b))
+        assert context.face_witnesses(expected) == [
+            (mid, *context.side_offset_points(a, b)) for mid, (a, b) in first_segment.items()
+        ]
 
 
 def test_interned_parser_returns_equal_shared_objects():

@@ -13,8 +13,6 @@ counterpart on mixed, EMPTY and collection geometries:
 * ``segment_pair_candidates`` never prunes a pair that
   ``segment_intersection`` reports as intersecting, and its
   ``certainly_proper`` certificates are genuinely proper crossings;
-* ``ClearanceFilter`` keep-lists preserve the exact rational minimum
-  positive clearance and never drop a zero-distance incidence;
 * ``EnvelopeBlock.intersecting`` has no false negatives against exact
   Fraction envelope intersection, and ``within_distance`` never prunes a
   row that ``measures.dwithin`` accepts (EMPTY rows always survive, NULL
@@ -37,7 +35,6 @@ from repro.core.canonical import clear_canonical_cache
 from repro.engine.database import connect
 from repro.geometry.cache import clear_geometry_cache
 from repro.geometry.columnar import (
-    ClearanceFilter,
     EnvelopeBlock,
     RingLocator,
     SegmentsLocator,
@@ -245,63 +242,6 @@ def test_segment_pair_candidates_never_prunes_an_intersecting_pair():
     assert checked_pairs > 200  # the generator produced real intersections
     assert proper_pairs > 100  # and the certificate path was exercised
     assert _with_kernels(False, lambda: segment_pair_candidates(_segments(rng, 4))) is None
-
-
-# ---------------------------------------------------------------------------
-# Clearance prescreen.
-# ---------------------------------------------------------------------------
-
-
-def _point_segment_squared(p: Coordinate, a: Coordinate, b: Coordinate) -> Fraction:
-    """Exact rational squared distance from a point to a closed segment."""
-    if a == b:
-        return (p.x - a.x) ** 2 + (p.y - a.y) ** 2
-    ex, ey = b.x - a.x, b.y - a.y
-    t = ((p.x - a.x) * ex + (p.y - a.y) * ey) / (ex * ex + ey * ey)
-    t = min(max(t, Fraction(0)), Fraction(1))
-    return (p.x - (a.x + t * ex)) ** 2 + (p.y - (a.y + t * ey)) ** 2
-
-
-def test_clearance_filter_preserves_the_minimum_positive_clearance():
-    rng = random.Random(60404)
-    nonempty_runs = 0
-    for _ in range(CASES):
-        nodes = [_coordinate(rng) for _ in range(rng.randint(0, 6))]
-        segments = _segments(rng, rng.randint(0, 6))
-        queries = _segments(rng, rng.randint(1, 4))
-        if rng.random() < 0.3 and nodes and queries:
-            # Force a zero-distance incidence: a query whose midpoint is a node.
-            node = rng.choice(nodes)
-            other = _coordinate(rng)
-            mirror = Coordinate(2 * node.x - other.x, 2 * node.y - other.y)
-            if mirror != other:
-                queries.append((other, mirror))
-        batches = _with_kernels(
-            True, lambda: ClearanceFilter(segments, nodes).candidates_many(queries)
-        )
-        if batches is None:
-            assert not nodes and not segments
-            continue
-        nonempty_runs += 1
-        for (a, b), (keep_nodes, keep_segments) in zip(queries, batches):
-            m = _midpoint(a, b)
-            node_d = [(p.x - m.x) ** 2 + (p.y - m.y) ** 2 for p in nodes]
-            seg_d = [_point_segment_squared(m, s, t) for s, t in segments]
-            # Zero-distance incidences are always kept (the exact kernel
-            # decides whether they are excluded incidences or true minima).
-            for index, squared in enumerate(node_d):
-                if squared == 0:
-                    assert index in keep_nodes
-            for index, squared in enumerate(seg_d):
-                if squared == 0:
-                    assert index in keep_segments
-            # The minimum positive clearance survives the pruning.
-            positive = [d for d in node_d + seg_d if d > 0]
-            if positive:
-                kept = [node_d[i] for i in keep_nodes] + [seg_d[i] for i in keep_segments]
-                kept_positive = [d for d in kept if d > 0]
-                assert min(kept_positive) == min(positive)
-    assert nonempty_runs > CASES // 2
 
 
 # ---------------------------------------------------------------------------
