@@ -107,7 +107,7 @@ class CampaignConfig:
     #: ``False`` (the CLI's ``--no-fast-path``) runs the scalar reference:
     #: row-at-a-time execution, no float prescreens and CREATE/INSERT SQL
     #: replay.  The switch never chooses arithmetic: both modes decide
-    #: every predicate and build every witness with the same exact code.  The
+    #: every predicate and label every face with the same exact code.  The
     #: optimised-vs-reference equivalence suite holds the two modes
     #: finding-for-finding identical.  (The always-pure layers — interned
     #: parsing, per-instance wkt/envelope memos, the relate WKT memo, and the

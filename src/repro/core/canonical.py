@@ -156,8 +156,9 @@ def _topology_preserved(original: Geometry, candidate: Geometry) -> bool:
     Regrouping elements can only change point classifications *on* the
     geometry's own segments and isolated points (off-curve points are
     interior/exterior under every grouping), so the check samples the noded
-    arrangement of both representations' segments — the same witness set the
-    relate engine classifies — and compares the two point locators there.
+    arrangement of both representations' segments — the nodes and edge
+    midpoints the relate engine classifies — and compares the two point
+    locators there.
     The mod-2 line boundary sets are compared as well, because relate reads
     them directly for boundary-dimension entries.
     """

@@ -77,10 +77,9 @@ def closest_pair(a: Geometry, b: Geometry) -> tuple[Coordinate, Coordinate] | No
 
     The minimum distance between two piecewise-linear sets is always attained
     at a vertex of one set and its projection onto a segment (or a vertex) of
-    the other, unless the sets intersect — the intersection case is handled
-    by the same candidate enumeration because a crossing point is the
-    projection of no vertex but the candidate distance reaches zero only via
-    the topological check below.
+    the other, unless the sets intersect.  Intersecting sets are caught
+    first: a crossing of their linework, or a vertex of one inside the
+    other's area (one set inside the other), is a common point.
     """
     vertices_a, segments_a = _vertices_and_segments(a)
     vertices_b, segments_b = _vertices_and_segments(b)
@@ -103,6 +102,16 @@ def closest_pair(a: Geometry, b: Geometry) -> tuple[Coordinate, Coordinate] | No
             shared = segment_intersection(sa[0], sa[1], sb[0], sb[1])
             if shared:
                 return shared[0], shared[0]
+
+    # With no boundary contact the sets still meet when one lies inside the
+    # other's area, and then every vertex of the inner one is common to both.
+    from repro.topology.labels import EXTERIOR, TopologyDescriptor
+
+    for inner, outer in ((vertices_b, a), (vertices_a, b)):
+        descriptor = TopologyDescriptor(outer)
+        for vertex in inner:
+            if descriptor.locate(vertex) != EXTERIOR:
+                return vertex, vertex
 
     for va in vertices_a:
         for vb in vertices_b:

@@ -24,9 +24,12 @@ call.  NaN/inf propagation is safe by construction: any non-finite value
 fails the certainty comparison and takes the exact fallback.
 
 Only pruning that integer arithmetic cannot do lives here: point location,
-segment-pair screening and envelope blocks.  Side-offset witnesses need no
-float stage, because their clearance comes from a lattice bound of the
-integer grid (:class:`repro.topology.noding.OffsetContext`).
+segment-pair screening and envelope blocks.  The relate engine locates only
+arrangement nodes and sub-segment midpoints; it labels the faces beside a
+midpoint from the midpoint's crossing parity
+(:meth:`RingLocator.crossing_parity_many`), where the ring edges through the
+midpoint — the ones a float filter can never decide — are known in advance
+and skipped.
 
 Everything is gated behind the fast path's process-wide switch
 (:func:`set_fast_kernels`) so campaigns can run optimised-vs-reference
@@ -46,7 +49,12 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
     np = None  # type: ignore[assignment]
 
 from repro.geometry.model import Coordinate
-from repro.geometry.primitives import point_in_ring, point_on_segment, ray_crossing
+from repro.geometry.primitives import (
+    crossing_parity,
+    point_in_ring,
+    point_on_segment,
+    ray_crossing,
+)
 
 #: one float rounding step per operation is < 2**-53 relative; the bounds
 #: below charge 2**-52 so the error arithmetic (itself computed in floats)
@@ -69,8 +77,8 @@ def set_fast_kernels(enabled: bool) -> bool:
     """Toggle the fast path's process-global geometry kernels.
 
     One switch covers the numpy prescreens and locators below, the relate
-    descriptor memo and the face-interior certificate of the side-offset
-    witnesses; ``TestingCampaign.run`` scopes it to
+    descriptor memo and the own-edge skip of the midpoint parity batch;
+    ``TestingCampaign.run`` scopes it to
     ``CampaignConfig.fast_path``.  Returns the previous setting.
     """
     global _FAST_KERNELS
@@ -238,26 +246,13 @@ class _EdgeTable:
 
 class PointColumns:
     """One float conversion of a query-point batch, shared by every locator
-    classifying the batch (a relate arrangement probes the same witness
-    points against many rings and segment sets).
+    classifying the batch (a relate arrangement probes the same nodes and
+    midpoints against many rings and segment sets)."""
 
-    ``face_interior`` optionally marks points the *caller* certifies to lie
-    strictly inside an arrangement face covering every locator's segments
-    and nodes (the relate engine's exact side-offset construction provides
-    that certificate).  Such points are on no segment and equal to no
-    vertex, so locators skip their boundary confirmations entirely — the
-    decisions the certificate forecloses, nothing else.
-    """
-
-    def __init__(
-        self,
-        points: Sequence[Coordinate],
-        face_interior: Sequence[bool] | None = None,
-    ):
+    def __init__(self, points: Sequence[Coordinate]):
         self.points = list(points)
         if np is None:
             self.arrays = None
-            self.face_interior = None
             return
         n = len(self.points)
         pxv = np.empty(n)
@@ -266,9 +261,6 @@ class PointColumns:
             pxv[i] = _to_float(p.x)
             pyv[i] = _to_float(p.y)
         self.arrays = (pxv, _conversion_error(pxv), pyv, _conversion_error(pyv))
-        self.face_interior = (
-            np.asarray(face_interior, dtype=bool) if face_interior is not None else None
-        )
 
     def subset(self, indices: Sequence[int]) -> "PointColumns":
         """Columns for a positional subset (no re-conversion)."""
@@ -276,14 +268,10 @@ class PointColumns:
         sub.points = [self.points[i] for i in indices]
         if self.arrays is None:
             sub.arrays = None
-            sub.face_interior = None
             return sub
         idx = np.asarray(indices, dtype=np.intp)
         pxv, pxe, pyv, pye = self.arrays
         sub.arrays = (pxv[idx], pxe[idx], pyv[idx], pye[idx])
-        sub.face_interior = (
-            self.face_interior[idx] if self.face_interior is not None else None
-        )
         return sub
 
 
@@ -296,7 +284,8 @@ class RingLocator:
     """Batch replacement for :func:`point_in_ring` over one fixed ring.
 
     ``locate_many`` returns, for each query point, exactly the string
-    :func:`point_in_ring` would return.  Float arithmetic only prunes:
+    :func:`point_in_ring` would return, and ``crossing_parity_many`` exactly
+    its :func:`crossing_parity`.  Float arithmetic only prunes:
 
     * **boundary pass** — an edge whose point/edge cross product is
       certainly nonzero (or whose bounding box certainly excludes the
@@ -313,9 +302,9 @@ class RingLocator:
 
     def __init__(self, ring: Sequence[Coordinate]):
         points = list(ring)
-        self._ring = list(points)
         if points and points[0] != points[-1]:
             points = points + [points[0]]
+        self._ring = points
         edges = list(zip(points, points[1:]))
         self._table = _EdgeTable(edges) if np is not None and edges else None
 
@@ -332,25 +321,9 @@ class RingLocator:
         crossv, crosse = table.cross_matrix(pxv, pxe, pyv, pye)
         cross_certain = _certain(crossv, crosse)
         boundary_candidate = ~cross_certain & ~table.outside_bbox(pxv, pxe, pyv, pye)
-        face_interior = columns.face_interior if columns is not None else None
-        if face_interior is not None:
-            # Certified face-interior points cannot lie on the ring: drop
-            # their boundary confirmations (their ε-offset construction makes
-            # them ε-close to their own edge, i.e. always cross-uncertain).
-            boundary_candidate &= ~face_interior[:, None]
-
-        # Straddle test: does the edge cross the horizontal line through p?
-        d1v, d1e = _sub(table.ayv[None, :], table.aye[None, :], pyv[:, None], pye[:, None])
-        d2v, d2e = _sub(table.byv[None, :], table.bye[None, :], pyv[:, None], pye[:, None])
-        straddle_known = _certain(d1v, d1e) & _certain(d2v, d2e)
-        straddle = (d1v > 0) != (d2v > 0)
-        counted = straddle_known & straddle & cross_certain
-        # Under a certain straddle, b.y - a.y has the sign of d2 (= b.y - p.y).
-        contributions = counted & ((crossv > 0) == (d2v > 0))
-        parity_uncertain = ~straddle_known | (straddle_known & straddle & ~cross_certain)
+        counts, parity_uncertain = self._parity_pass(pyv, pye, crossv, cross_certain)
         # Per-row summaries fetched once per batch: most rows have no exact
         # work at all, and they skip the per-row np.nonzero.
-        counts = contributions.sum(axis=1).tolist()
         boundary_rows = boundary_candidate.any(axis=1).tolist()
         parity_rows = parity_uncertain.any(axis=1).tolist()
 
@@ -372,13 +345,71 @@ class RingLocator:
                 continue
             inside = counts[i] & 1
             if parity_rows[i]:
-                for j in np.nonzero(parity_uncertain[i])[0].tolist():
-                    _KERNEL_STATS["ring_exact_crossing_checks"] += 1
-                    a, b = edges[j]
-                    if ray_crossing(p, a, b):
-                        inside ^= 1
+                inside = self._exact_parity(p, inside, parity_uncertain[i])
             results.append("interior" if inside else "exterior")
         return results
+
+    def crossing_parity_many(
+        self,
+        points: Sequence[Coordinate],
+        columns: "PointColumns | None",
+        own_edges: Sequence[Sequence[int]],
+    ) -> list[int]:
+        """:func:`crossing_parity` of every point, without a boundary pass.
+
+        ``own_edges[i]`` lists positions of ring edges the caller knows to
+        contain ``points[i]`` (possibly none).  Such an edge never counts
+        under the half-open rule, yet its cross product with the point is
+        exactly zero, which no float filter can certify: skipping it saves
+        the exact check it would otherwise always cost.
+        """
+        table = self._table
+        if table is None or not points:
+            return [crossing_parity(p, self._ring) for p in points]
+        _KERNEL_STATS["ring_batches"] += 1
+        _KERNEL_STATS["ring_points"] += len(points)
+
+        pxv, pxe, pyv, pye = table.resolve_columns(points, columns)
+        crossv, crosse = table.cross_matrix(pxv, pxe, pyv, pye)
+        counts, parity_uncertain = self._parity_pass(
+            pyv, pye, crossv, _certain(crossv, crosse)
+        )
+        rows = [i for i, own in enumerate(own_edges) for _ in own]
+        if rows:
+            edges = [j for own in own_edges for j in own]
+            parity_uncertain[rows, edges] = False
+        parity_rows = parity_uncertain.any(axis=1).tolist()
+        parities = []
+        for i, p in enumerate(points):
+            inside = counts[i] & 1
+            if parity_rows[i]:
+                inside = self._exact_parity(p, inside, parity_uncertain[i])
+            parities.append(inside)
+        return parities
+
+    def _parity_pass(self, pyv, pye, crossv, cross_certain):
+        """Per-point counts of the certainly-counted crossings, and the mask
+        of (point, edge) crossings only the exact test can decide."""
+        table = self._table
+        # Straddle test: does the edge cross the horizontal line through p?
+        d1v, d1e = _sub(table.ayv[None, :], table.aye[None, :], pyv[:, None], pye[:, None])
+        d2v, d2e = _sub(table.byv[None, :], table.bye[None, :], pyv[:, None], pye[:, None])
+        straddle_known = _certain(d1v, d1e) & _certain(d2v, d2e)
+        straddle = (d1v > 0) != (d2v > 0)
+        counted = straddle_known & straddle & cross_certain
+        # Under a certain straddle, b.y - a.y has the sign of d2 (= b.y - p.y).
+        contributions = counted & ((crossv > 0) == (d2v > 0))
+        parity_uncertain = ~straddle_known | (straddle_known & straddle & ~cross_certain)
+        return contributions.sum(axis=1).tolist(), parity_uncertain
+
+    def _exact_parity(self, p: Coordinate, inside: int, uncertain_row) -> int:
+        edges = self._table.edges
+        for j in np.nonzero(uncertain_row)[0].tolist():
+            _KERNEL_STATS["ring_exact_crossing_checks"] += 1
+            a, b = edges[j]
+            if ray_crossing(p, a, b):
+                inside ^= 1
+        return inside
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +437,6 @@ class SegmentsLocator:
         pxv, pxe, pyv, pye = table.resolve_columns(points, columns)
         crossv, crosse = table.cross_matrix(pxv, pxe, pyv, pye)
         candidate = ~_certain(crossv, crosse) & ~table.outside_bbox(pxv, pxe, pyv, pye)
-        face_interior = columns.face_interior if columns is not None else None
-        if face_interior is not None:
-            # Certified face-interior points lie on no segment; skip their
-            # exact confirmations.
-            candidate &= ~face_interior[:, None]
         segments = self._segments
         results: list[bool] = []
         candidate_rows = candidate.any(axis=1).tolist()

@@ -287,12 +287,22 @@ def point_in_ring(p: Coordinate, ring: Sequence[Coordinate]) -> str:
         if point_on_segment(p, a, b):
             return "boundary"
 
-    # Crossing number with the standard half-open rule on the y interval.
-    inside = False
-    for a, b in zip(points, points[1:]):
+    return "interior" if crossing_parity(p, points) else "exterior"
+
+
+def crossing_parity(p: Coordinate, ring: Sequence[Coordinate]) -> int:
+    """Parity of the crossings of ``p``'s rightward ray with a closed ring.
+
+    The crossing number with the standard half-open rule on the y interval
+    (:func:`ray_crossing` per edge).  For a point off the ring it is 1
+    exactly when the point is inside; an edge containing ``p`` never
+    counts.
+    """
+    inside = 0
+    for a, b in zip(ring, ring[1:]):
         if ray_crossing(p, a, b):
-            inside = not inside
-    return "interior" if inside else "exterior"
+            inside ^= 1
+    return inside
 
 
 def ray_crossing(p: Coordinate, a: Coordinate, b: Coordinate) -> bool:

@@ -5,8 +5,10 @@ Its boundary consists of exactly those arrangement edges whose two adjacent
 faces disagree about membership in the result region.  This module
 
 1. nodes the polygon rings of both inputs,
-2. classifies the two faces adjacent to every noded edge using the
-   side-offset witnesses of the relate engine,
+2. classifies the two faces adjacent to every noded edge from the input
+   rings containing it
+   (:meth:`~repro.topology.labels.TopologyDescriptor.label_edges`, the
+   labelling relate uses),
 3. keeps the edges where membership flips, oriented so the result region
    lies on their left,
 4. assembles the directed edges into rings by always taking the
@@ -26,7 +28,8 @@ from typing import Callable, Sequence
 from repro.geometry.model import Coordinate, Geometry, MultiPolygon, Polygon, flatten
 from repro.geometry.primitives import point_in_ring, ring_signed_area
 from repro.topology.labels import EXTERIOR, TopologyDescriptor
-from repro.topology.noding import OffsetContext, node_segments
+from repro.topology.noding import arrangement_edges
+from repro.topology.relate import label_arrangement
 
 Segment = tuple[Coordinate, Coordinate]
 DirectedEdge = tuple[Coordinate, Coordinate]
@@ -63,29 +66,18 @@ def areal_overlay(a: Geometry, b: Geometry, keep: MembershipRule) -> list[Polygo
     if descriptor_a.is_empty and descriptor_b.is_empty:
         return []
 
-    segments = descriptor_a.segments() + descriptor_b.segments()
-    noded = node_segments(segments)
-    unique: dict[tuple, Segment] = {}
-    for segment in noded:
-        unique.setdefault(_undirected_key(segment), segment)
-    noded_unique = list(unique.values())
-
-    nodes: set[Coordinate] = set()
-    for start, end in noded_unique:
-        nodes.add(start)
-        nodes.add(end)
-
-    def membership(point: Coordinate) -> bool:
-        in_a = not descriptor_a.is_empty and descriptor_a.locate(point) != EXTERIOR
-        in_b = not descriptor_b.is_empty and descriptor_b.locate(point) != EXTERIOR
-        return keep(in_a, in_b)
-
+    segments_a = descriptor_a.segments()
+    edges = arrangement_edges(segments_a + descriptor_b.segments())
+    labels_a, labels_b = label_arrangement(
+        descriptor_a, descriptor_b, edges, len(segments_a)
+    )
     boundary_edges: list[DirectedEdge] = []
-    offset_context = OffsetContext(noded_unique, nodes)
-    for segment in noded_unique:
-        left, right = offset_context.side_offset_points(segment[0], segment[1])
-        left_in = membership(left)
-        right_in = membership(right)
+    for (segment, _), (_, left_a, right_a), (_, left_b, right_b) in zip(
+        edges, labels_a, labels_b
+    ):
+        # A face is never on a ring: a class other than EXTERIOR is inside.
+        left_in = keep(left_a != EXTERIOR, left_b != EXTERIOR)
+        right_in = keep(right_a != EXTERIOR, right_b != EXTERIOR)
         if left_in == right_in:
             continue
         if left_in:

@@ -11,8 +11,7 @@ distance order (shearing does not, which is exactly why the scenario
 declares the similarity family).  Ties are broken by row id, so the row
 lists compare deterministically.
 
-This absorbs the standalone ``repro.core.knn`` oracle into the registry:
-the oracle materialises specs with stable ``id`` columns for every
+The oracle materialises specs with stable ``id`` columns for every
 scenario, so the neighbour lists join the same campaign/dedup pipeline as
 the count scenarios.
 """
@@ -45,7 +44,7 @@ def knn_ir(table: str, query_point_wkt: str, k: int) -> Select:
 
 
 def knn_sql(table: str, query_point_wkt: str, k: int) -> str:
-    """Canonical rendering of :func:`knn_ir` (kept for existing callers)."""
+    """Canonical rendering of :func:`knn_ir`."""
     return render(knn_ir(table, query_point_wkt, k))
 
 

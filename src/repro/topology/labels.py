@@ -21,6 +21,13 @@ Listing 6 treats as expected.  The ``"last_one_wins"`` and
 ``"boundary_priority"`` strategies reproduce the buggy and the
 developer-proposed alternatives discussed in the paper and are selected by
 the fault-injection layer, never by default.
+
+Besides locating points, a descriptor labels the edges of an arrangement
+that contains its segments (:meth:`TopologyDescriptor.label_edges`): each
+edge's midpoint and the two faces beside it are classified from the
+midpoint's ring crossing parities and the list of this geometry's segments
+the edge was cut from, so relate never builds or locates a point inside a
+face.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from repro.geometry.columnar import (
     SegmentsLocator,
     vectorized_kernels_enabled,
 )
-from repro.geometry.primitives import point_in_ring, point_on_segment
+from repro.geometry.primitives import crossing_parity, point_in_ring, point_on_segment
 
 INTERIOR = "I"
 BOUNDARY = "B"
@@ -81,6 +88,26 @@ class _Component:
         identical to the scalar locator."""
         return [self.locate(point) for point in points]
 
+    def label_edges(
+        self,
+        midpoints: Sequence[Coordinate],
+        segments: Sequence[Segment],
+        sources: Sequence[Sequence[int]],
+        columns: PointColumns | None,
+    ) -> list[tuple[str, str, str]]:
+        """Classes of arrangement edges and of the faces beside them.
+
+        ``segments[i]`` is a sub-segment ``(a, b)`` of a fully noded
+        arrangement that contains this component's segments and isolated
+        points, ``midpoints[i]`` is its midpoint and ``sources[i]`` lists
+        the positions in :meth:`segments` of this component's segments that
+        contain it.  ``columns`` is the midpoints' float conversion when the
+        vectorized kernels are on (``None`` otherwise).  Returns, per
+        sub-segment, what :meth:`locate` answers for its midpoint, for the
+        face left of ``a``→``b`` and for the face right of it.
+        """
+        raise NotImplementedError
+
     def segments(self) -> list[Segment]:
         """Line segments contributed to the noding step (may be empty)."""
         return []
@@ -109,18 +136,9 @@ class PointsComponent(_Component):
     def locate(self, point: Coordinate) -> str:
         return INTERIOR if point in self.coordinates else EXTERIOR
 
-    def locate_many(
-        self, points: Sequence[Coordinate], columns: PointColumns | None = None
-    ) -> list[str]:
-        mask = columns.face_interior if columns is not None else None
-        if mask is None:
-            return [self.locate(point) for point in points]
-        # Face-interior points coincide with no arrangement node, hence with
-        # none of these coordinates (they are isolated points of the noding).
-        return [
-            EXTERIOR if mask[i] else self.locate(point)
-            for i, point in enumerate(points)
-        ]
+    def label_edges(self, midpoints, segments, sources, columns):
+        # The coordinates are arrangement nodes: no edge or face holds one.
+        return [(EXTERIOR, EXTERIOR, EXTERIOR)] * len(midpoints)
 
     def isolated_points(self) -> list[Coordinate]:
         return list(self.coordinates)
@@ -182,14 +200,9 @@ class LinesComponent(_Component):
         if self._segments_locator is None:
             self._segments_locator = SegmentsLocator(self._segments)
         on_segment = self._segments_locator.contains_many(points, columns)
-        mask = columns.face_interior if columns is not None else None
         results = []
-        for i, (point, hit) in enumerate(zip(points, on_segment)):
-            if mask is not None and mask[i]:
-                # Face-interior: on no segment, equal to no boundary or
-                # degenerate point (all of them are arrangement nodes).
-                results.append(EXTERIOR)
-            elif point in self.boundary_points:
+        for point, hit in zip(points, on_segment):
+            if point in self.boundary_points:
                 results.append(BOUNDARY)
             elif point in self._degenerate_points:
                 results.append(INTERIOR)
@@ -198,6 +211,13 @@ class LinesComponent(_Component):
             else:
                 results.append(EXTERIOR)
         return results
+
+    def label_edges(self, midpoints, segments, sources, columns):
+        # Boundary and degenerate points are arrangement nodes, so an open
+        # edge is interior exactly when one of these segments contains it.
+        return [
+            (INTERIOR if own else EXTERIOR, EXTERIOR, EXTERIOR) for own in sources
+        ]
 
     def segments(self) -> list[Segment]:
         return list(self._segments)
@@ -213,13 +233,25 @@ class AreasComponent(_Component):
 
     def __init__(self, polygons: Sequence[Polygon]):
         self.polygons = [p for p in polygons if not p.is_empty]
+        #: every ring (closed), numbered exterior first then holes, polygon
+        #: by polygon; ``_polygon_rings`` holds each polygon's numbers.
+        self._rings: list[list[Coordinate]] = []
+        self._polygon_rings: list[tuple[int, list[int]]] = []
         self._ring_segments: list[Segment] = []
+        #: (ring number, edge position in the ring) of each ring segment.
+        self._segment_edges: list[tuple[int, int]] = []
         for polygon in self.polygons:
+            numbers = []
             for ring in polygon.rings():
-                for a, b in zip(ring, ring[1:]):
+                number = len(self._rings)
+                numbers.append(number)
+                self._rings.append(ring)
+                for position, (a, b) in enumerate(zip(ring, ring[1:])):
                     if a != b:
                         self._ring_segments.append((a, b))
-        self._ring_locators: list[tuple[RingLocator, list[RingLocator]]] | None = None
+                        self._segment_edges.append((number, position))
+            self._polygon_rings.append((numbers[0], numbers[1:]))
+        self._ring_locators: list[RingLocator] | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -250,16 +282,17 @@ class AreasComponent(_Component):
                 return EXTERIOR
         return INTERIOR
 
+    def _locators(self) -> list[RingLocator]:
+        if self._ring_locators is None:
+            self._ring_locators = [RingLocator(ring) for ring in self._rings]
+        return self._ring_locators
+
     def locate_many(
         self, points: Sequence[Coordinate], columns: PointColumns | None = None
     ) -> list[str]:
         if not vectorized_kernels_enabled() or not self.polygons:
             return [self.locate(point) for point in points]
-        if self._ring_locators is None:
-            self._ring_locators = [
-                (RingLocator(p.exterior), [RingLocator(h) for h in p.holes])
-                for p in self.polygons
-            ]
+        locators = self._locators()
         if columns is None:
             columns = PointColumns(points)
         results = [EXTERIOR] * len(points)
@@ -267,11 +300,11 @@ class AreasComponent(_Component):
         # in play because a later polygon's boundary still takes priority
         # (matching the scalar locator's early return on BOUNDARY only).
         active = list(range(len(points)))
-        for exterior_locator, hole_locators in self._ring_locators:
+        for exterior, holes in self._polygon_rings:
             if not active:
                 break
             active_columns = columns.subset(active)
-            located = exterior_locator.locate_many(active_columns.points, active_columns)
+            located = locators[exterior].locate_many(active_columns.points, active_columns)
             still_active: list[int] = []
             in_exterior_ring: list[int] = []
             for index, location in zip(active, located):
@@ -281,11 +314,11 @@ class AreasComponent(_Component):
                     in_exterior_ring.append(index)
                 else:
                     still_active.append(index)
-            for hole_locator in hole_locators:
+            for hole in holes:
                 if not in_exterior_ring:
                     break
                 hole_columns = columns.subset(in_exterior_ring)
-                located = hole_locator.locate_many(hole_columns.points, hole_columns)
+                located = locators[hole].locate_many(hole_columns.points, hole_columns)
                 remaining: list[int] = []
                 for index, location in zip(in_exterior_ring, located):
                     if location == "boundary":
@@ -301,6 +334,103 @@ class AreasComponent(_Component):
                 still_active.append(index)
             active = [i for i in still_active if results[i] != BOUNDARY]
         return results
+
+    def label_edges(self, midpoints, segments, sources, columns):
+        """Edge and face classes from each midpoint's crossing parity.
+
+        For a ring, let ``k`` be the number of its edges containing the
+        sub-segment ``s`` (read off ``sources``, no geometry test) and ``p``
+        the :func:`crossing_parity` of the midpoint ``m``.  The midpoint is
+        on the ring exactly when ``k > 0``, and otherwise inside it exactly
+        when ``p`` is 1.  Every edge not containing ``m`` counts the same at
+        ``m`` as just above ``m`` (the half-open rule), and just left of
+        ``m`` too when ``s`` is vertical; the ``k`` edges along ``s`` count
+        only on its ``-x`` side.  So the face on the ``-x`` side of a
+        non-horizontal ``s`` has parity ``p ^ (k & 1)``, the face above a
+        horizontal ``s`` has ``p``, and crossing ``s`` flips parity ``k``
+        times, which gives the opposite face.  The face left of ``a``→``b``
+        is the ``-x`` one when ``s`` points up, and the lower one when a
+        horizontal ``s`` points left; either way the left face is
+        ``p ^ (k & 1)`` for those directions and ``p`` for the others.
+        Polygons, holes and components then combine the ring bits exactly
+        as :meth:`locate` combines ring locations; a face is never on a
+        ring.
+        """
+        n = len(midpoints)
+        own: list[dict[int, list[int]]] = [{} for _ in self._rings]
+        for i, local in enumerate(sources):
+            for source in local:
+                ring, position = self._segment_edges[source]
+                own[ring].setdefault(i, []).append(position)
+        left_flips = [a.y < b.y or (a.y == b.y and b.x < a.x) for a, b in segments]
+
+        on_boundary = [False] * n
+        in_interior = [False] * n
+        left_in = [False] * n
+        right_in = [False] * n
+        everything = list(range(n))
+        for exterior, holes in self._polygon_rings:
+            # [midpoint class so far, left face inside, right face inside],
+            # in _locate_in_polygon's order over the rings.
+            state = [
+                [BOUNDARY if on else INTERIOR if parity else EXTERIOR, left, right]
+                for on, parity, left, right in self._ring_bits(
+                    exterior, everything, midpoints, columns, own, left_flips
+                )
+            ]
+            for hole in holes:
+                # Only what is still inside the exterior ring needs the hole.
+                probe = [
+                    i
+                    for i, (mid, left, right) in enumerate(state)
+                    if mid == INTERIOR or left or right
+                ]
+                if not probe:
+                    break
+                bits = self._ring_bits(hole, probe, midpoints, columns, own, left_flips)
+                for i, (on, parity, left, right) in zip(probe, bits):
+                    entry = state[i]
+                    if entry[0] == INTERIOR and (on or parity):
+                        entry[0] = BOUNDARY if on else EXTERIOR
+                    entry[1] = entry[1] and not left
+                    entry[2] = entry[2] and not right
+            for i, (mid, left, right) in enumerate(state):
+                if mid == BOUNDARY:
+                    on_boundary[i] = True
+                elif mid == INTERIOR:
+                    in_interior[i] = True
+                left_in[i] = left_in[i] or left
+                right_in[i] = right_in[i] or right
+        return [
+            (
+                BOUNDARY if on_boundary[i] else INTERIOR if in_interior[i] else EXTERIOR,
+                INTERIOR if left_in[i] else EXTERIOR,
+                INTERIOR if right_in[i] else EXTERIOR,
+            )
+            for i in everything
+        ]
+
+    def _ring_bits(self, ring, indices, midpoints, columns, own, left_flips):
+        """``(on ring, midpoint parity, left face parity, right face
+        parity)`` over one ring for the midpoints at ``indices``."""
+        own_ring = own[ring]
+        points = [midpoints[i] for i in indices]
+        own_edges = [own_ring.get(i, ()) for i in indices]
+        if not vectorized_kernels_enabled():
+            closed = self._rings[ring]
+            parities = [crossing_parity(point, closed) for point in points]
+        else:
+            if len(indices) != len(columns.points):
+                columns = columns.subset(indices)
+            parities = self._locators()[ring].crossing_parity_many(
+                points, columns, own_edges
+            )
+        bits = []
+        for i, parity, edges in zip(indices, parities, own_edges):
+            odd = len(edges) & 1
+            left = parity ^ odd if left_flips[i] else parity
+            bits.append((bool(edges), parity, left, left ^ odd))
+        return bits
 
     def segments(self) -> list[Segment]:
         return list(self._ring_segments)
@@ -373,10 +503,8 @@ class TopologyDescriptor:
         vectorized kernels are enabled; otherwise this is the scalar locator
         in a loop.  ``columns`` optionally supplies the batch's float
         conversion (see :class:`~repro.geometry.columnar.PointColumns`), so
-        callers locating one batch in several geometries convert it once; it
-        may certify points as strictly interior to an arrangement face
-        spanning this geometry's segments and nodes, and is consulted only
-        on the vectorized path.
+        callers locating one batch in several geometries convert it once;
+        it is consulted only on the vectorized path.
         """
         points = list(points)
         if not points:
@@ -395,6 +523,55 @@ class TopologyDescriptor:
                 [column[i] for column in per_component], self.collection_strategy
             )
             for i in range(len(points))
+        ]
+
+    def label_edges(
+        self,
+        midpoints: Sequence[Coordinate],
+        segments: Sequence[Segment],
+        sources: Sequence[Sequence[int]],
+        columns: PointColumns | None = None,
+    ) -> list[tuple[str, str, str]]:
+        """``(midpoint, left face, right face)`` classes of arrangement edges.
+
+        ``segments[i]`` is a sub-segment ``(a, b)`` of a fully noded
+        arrangement containing this geometry's :meth:`segments` and
+        :meth:`isolated_points`, ``midpoints[i]`` is its midpoint and
+        ``sources[i]`` lists the positions in :meth:`segments` of the
+        segments containing it.  The classes are those :meth:`locate`
+        gives the midpoint and points of the faces left and right of
+        ``a``→``b`` (see :meth:`AreasComponent.label_edges`), without
+        building or locating any point beside the edge.  ``columns``
+        optionally supplies the midpoints' float conversion, as for
+        :meth:`locate_many`.
+        """
+        midpoints = list(midpoints)
+        if not self.components:
+            return [(EXTERIOR, EXTERIOR, EXTERIOR)] * len(midpoints)
+        if not vectorized_kernels_enabled():
+            columns = None
+        elif columns is None:
+            columns = PointColumns(midpoints)
+        if len(self.components) == 1:
+            # One component: combine_classes of a single class is the class.
+            return self.components[0].label_edges(midpoints, segments, sources, columns)
+        per_component = []
+        start = 0
+        for component in self.components:
+            # This component owns positions start:end of segments().
+            end = start + len(component.segments())
+            local = [[s - start for s in own if start <= s < end] for own in sources]
+            per_component.append(
+                component.label_edges(midpoints, segments, local, columns)
+            )
+            start = end
+        strategy = self.collection_strategy
+        return [
+            tuple(
+                combine_classes([labels[i][position] for labels in per_component], strategy)
+                for position in range(3)
+            )
+            for i in range(len(midpoints))
         ]
 
     def segments(self) -> list[Segment]:

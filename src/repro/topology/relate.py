@@ -5,15 +5,18 @@ The matrix is computed by *arrangement sampling*:
 1. decompose both geometries into labelled components
    (:class:`~repro.topology.labels.TopologyDescriptor`);
 2. fully node the union of their segments
-   (:func:`~repro.topology.noding.node_segments`), so classifications are
-   constant on the open edges and faces of the induced arrangement;
-3. classify witness points — every node (dimension-0 cell), every sub-segment
-   midpoint (dimension-1 cell) and a side-offset point next to every midpoint
-   (dimension-2 cell) — with both geometries' point locators;
-4. each witness contributes its cell dimension to the matrix entry addressed
-   by its (class in A, class in B) pair; entries keep the maximum
-   contribution, exactly the dimension semantics of the DE-9IM dimension
-   calculator D.
+   (:func:`~repro.topology.noding.arrangement_edges`), so
+   classifications are constant on the open edges and faces of the induced
+   arrangement, and record which input segments contain each edge;
+3. classify every node (dimension-0 cell) with both geometries' point
+   locators, and label every edge (dimension-1 cell, sampled at its
+   midpoint) together with the two faces beside it (dimension-2 cells) from
+   the midpoint's ring crossing parities and the edge's sources
+   (:meth:`~repro.topology.labels.TopologyDescriptor.label_edges`); every
+   bounded face lies beside some edge;
+4. each cell contributes its dimension to the matrix entry addressed by its
+   (class in A, class in B) pair; entries keep the maximum contribution,
+   exactly the dimension semantics of the DE-9IM dimension calculator D.
 
 Because both geometries are bounded and the plane is not, the
 exterior/exterior entry is always 2.
@@ -22,7 +25,7 @@ exterior/exterior entry is always 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.geometry.columnar import PointColumns, vectorized_kernels_enabled
 from repro.geometry.model import Coordinate, Geometry
@@ -33,7 +36,7 @@ from repro.topology.labels import (
     UNION_STRATEGY,
     TopologyDescriptor,
 )
-from repro.topology.noding import OffsetContext, node_segments
+from repro.topology.noding import Segment, arrangement_edges, midpoint
 
 _CLASS_INDEX = {INTERIOR: 0, BOUNDARY: 1, EXTERIOR: 2}
 _DIM_SYMBOLS = {-1: "F", 0: "0", 1: "1", 2: "2"}
@@ -260,46 +263,58 @@ def relate_descriptors(
     all_points = descriptor_a.isolated_points() + descriptor_b.isolated_points()
 
     # Node the union of both geometries' segments so classifications are
-    # constant along the open interior of every resulting sub-segment.
-    noded_union = node_segments(segments_a + segments_b, all_points)
-
+    # constant along the open interior of every resulting edge; each edge
+    # carries the input segments containing it.
+    edges = arrangement_edges(segments_a + segments_b, all_points)
     nodes: set[Coordinate] = set(all_points)
-    for start, end in noded_union:
+    for (start, end), _ in edges:
         nodes.add(start)
         nodes.add(end)
 
-    # Collect every witness point with its cell dimension, then classify
-    # them in one batch per descriptor.  Matrix entries keep the maximum
-    # contribution, so the accumulation order is immaterial and the batch
-    # is entry-for-entry identical to classifying point by point.
-    witness_points: list[Coordinate] = list(nodes)
-    witness_dimensions: list[int] = [0] * len(witness_points)
+    # Matrix entries keep the maximum contribution, so the accumulation
+    # order is immaterial.  Both descriptors share one float conversion of
+    # each batch (vectorized kernels only).
+    node_points = list(nodes)
+    columns = PointColumns(node_points) if vectorized_kernels_enabled() else None
+    classes_a = descriptor_a.locate_many(node_points, columns)
+    classes_b = descriptor_b.locate_many(node_points, columns)
+    for class_a, class_b in zip(classes_a, classes_b):
+        matrix.set(class_a, class_b, 0)
 
-    # One integer-grid context builds every side-offset witness of this
-    # arrangement.
-    for witnesses in OffsetContext(noded_union, nodes).face_witnesses(noded_union):
-        witness_points.extend(witnesses)  # midpoint, left, right
-        witness_dimensions.extend((1, 2, 2))
-
-    # Dimension-2 witnesses carry an exact certificate from the side-offset
-    # construction: they lie strictly inside an arrangement face, hence on
-    # no segment and at no node of either geometry.  The locators use it to
-    # skip boundary confirmations (vectorized kernels only; the scalar
-    # reference path never consults it).  Both descriptors share one float
-    # conversion of the batch.
-    columns = (
-        PointColumns(
-            witness_points, [dimension == 2 for dimension in witness_dimensions]
-        )
-        if vectorized_kernels_enabled()
-        else None
+    labels_a, labels_b = label_arrangement(
+        descriptor_a, descriptor_b, edges, len(segments_a)
     )
-    classes_a = descriptor_a.locate_many(witness_points, columns)
-    classes_b = descriptor_b.locate_many(witness_points, columns)
-    for class_a, class_b, cell_dimension in zip(classes_a, classes_b, witness_dimensions):
-        matrix.set(class_a, class_b, cell_dimension)
+    for (edge_a, left_a, right_a), (edge_b, left_b, right_b) in zip(labels_a, labels_b):
+        matrix.set(edge_a, edge_b, 1)
+        matrix.set(left_a, left_b, 2)
+        matrix.set(right_a, right_b, 2)
 
     return matrix
+
+
+def label_arrangement(
+    descriptor_a: TopologyDescriptor,
+    descriptor_b: TopologyDescriptor,
+    edges: Sequence[tuple[Segment, Sequence[int]]],
+    split: int,
+) -> tuple[list[tuple[str, str, str]], list[tuple[str, str, str]]]:
+    """Both descriptors' ``(midpoint, left face, right face)`` classes of
+    every edge of ``arrangement_edges(segments_a + segments_b, ...)``.
+
+    ``split`` is ``len(segments_a)``: sources below it are positions in
+    ``descriptor_a.segments()``, the rest in ``descriptor_b.segments()``.
+    Both descriptors share one float conversion of the midpoints
+    (vectorized kernels only).
+    """
+    segments = [segment for segment, _ in edges]
+    midpoints = [midpoint(start, end) for start, end in segments]
+    sources_a = [[s for s in own if s < split] for _, own in edges]
+    sources_b = [[s - split for s in own if s >= split] for _, own in edges]
+    columns = PointColumns(midpoints) if vectorized_kernels_enabled() else None
+    return (
+        descriptor_a.label_edges(midpoints, segments, sources_a, columns),
+        descriptor_b.label_edges(midpoints, segments, sources_b, columns),
+    )
 
 
 def _boundary_dimension(descriptor: TopologyDescriptor) -> int:

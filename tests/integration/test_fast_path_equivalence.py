@@ -5,14 +5,15 @@ the optimised path: prepared-predicate caching, auto-built STR prefilters,
 the numpy geometry prescreens with batch SELECT pipelines, and direct
 bulk-load of parsed geometry into in-process sessions.  Off, it runs the
 scalar reference: row-at-a-time execution, unscreened scalar locators and
-CREATE/INSERT SQL replay.  Both share one exact integer-grid arithmetic
-(predicates and lattice-bounded side-offset witnesses).  The optimised path is
-only admissible if both are observably identical, so these tests run
-full-registry campaigns (all seven scenarios plus the single-database
-oracle families) over several seeds on both backends in both modes and
-compare everything the campaign reports: findings finding-for-finding,
-per-scenario and per-oracle query counts, deduplication signatures
-(ground-truth and signature-fallback), and crashes.
+CREATE/INSERT SQL replay.  Both share one exact integer arithmetic
+(predicates, and relate's face labels from noding provenance).  The
+optimised path is only admissible if both are observably identical, so
+these tests run full-registry campaigns (all seven scenarios plus the
+single-database oracle families) over several seeds on both backends in
+both modes and compare everything the campaign reports: findings
+finding-for-finding, per-scenario and per-oracle query counts,
+deduplication signatures (ground-truth and signature-fallback), and
+crashes.
 
 The engagement guards below keep the equivalence from passing vacuously:
 each optimisation must show traffic on the optimised side and none on the

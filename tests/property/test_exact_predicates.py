@@ -16,8 +16,8 @@ cases per predicate), that the integer versions return identical results:
   coordinates iterate in the same order as sets of ordinate pairs.
 
 Inputs mix integral, small-rational, collinear, coincident and zero-length
-cases with the huge-denominator witness points of
-``OffsetContext.side_offset_points``.
+cases with the huge-denominator side-offset witnesses of
+:mod:`tests.property.witnesses`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.geometry.primitives import (
     segment_intersection,
 )
 from repro.topology import noding
+from tests.property.witnesses import OffsetContext
 
 CASES = 1000
 
@@ -219,7 +220,7 @@ def _witness_points(rng: random.Random) -> list[Coordinate]:
         return []
     noded = noding.node_segments(segments)
     nodes = {end for segment in noded for end in segment}
-    context = noding.OffsetContext(noded, nodes)
+    context = OffsetContext(noded, nodes)
     witnesses = []
     for start, end in noded:
         witnesses.extend(context.side_offset_points(start, end))

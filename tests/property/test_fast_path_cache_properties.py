@@ -10,17 +10,15 @@ variants included — asserting that
   ``topology.predicates`` counterpart, hit or miss, under both collection
   strategies;
 * the noder agrees with its direct ``Fraction`` construction (kept here
-  as an oracle), and the integer-grid side-offset witnesses stay inside
-  the exact clearance the ``Fraction`` oracle computes, on ≥1000 seeded
-  arrangements, with and without the fast path.
+  as an oracle), source positions included, and groups the copies of each
+  arrangement edge with exactly the input segments containing it, on ≥1000
+  seeded arrangements, with and without the fast path.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-import pytest
 
 from repro.engine.database import connect
 from repro.engine.prepared import PreparedGeometryCache
@@ -35,7 +33,6 @@ from repro.geometry.model import (
     Point,
     Polygon,
 )
-from repro.geometry.primitives import CLOCKWISE, COUNTERCLOCKWISE
 from repro.topology import predicates
 from repro.topology.labels import LAST_ONE_WINS_STRATEGY, TopologyDescriptor
 from repro.topology.relate import (
@@ -165,53 +162,22 @@ def test_registry_fast_path_matches_direct_predicates():
 
 
 # ---------------------------------------------------------------------------
-# Fraction oracles for the side-offset witnesses and the noder: the direct
-# rational constructions the integer-grid code replaced.
+# Fraction oracle for the noder: the direct rational construction the
+# integer code replaced.
 # ---------------------------------------------------------------------------
-
-
-def _squared_distance(p, q):
-    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-
-
-def _segment_point_squared_distance(p, a, b):
-    if a == b:
-        return _squared_distance(p, a)
-    t = ((b.x - a.x) * (p.x - a.x) + (b.y - a.y) * (p.y - a.y)) / _squared_distance(a, b)
-    if t <= 0:
-        return _squared_distance(p, a)
-    if t >= 1:
-        return _squared_distance(p, b)
-    foot = Coordinate(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-    return _squared_distance(p, foot)
-
-
-def _clearance_oracle(mid, segments, nodes):
-    """Minimum positive squared distance from ``mid`` to every node and to
-    every segment not passing through it (None when there is none)."""
-    best = None
-    for node in nodes:
-        d_sq = _squared_distance(mid, node)
-        if d_sq > 0 and (best is None or d_sq < best):
-            best = d_sq
-    for a, b in segments:
-        if exact._point_on_segment(mid, a, b):
-            continue
-        d_sq = _segment_point_squared_distance(mid, a, b)
-        if d_sq > 0 and (best is None or d_sq < best):
-            best = d_sq
-    return best
 
 
 def _node_segments_oracle(segments, extra_points=()):
     """The pairwise noding loop: every pair, every extra point, split points
-    sorted by their affine parameter along the segment."""
-    segments = [s for s in segments if s[0] != s[1]]
+    sorted by their affine parameter along the segment; each sub-segment
+    with the position of the input segment it was cut from."""
     result = []
     for index, (a, b) in enumerate(segments):
+        if a == b:
+            continue
         cut_points = {a, b}
         for other_index, (c, d) in enumerate(segments):
-            if other_index != index:
+            if other_index != index and c != d:
                 cut_points.update(exact._segment_intersection(a, b, c, d))
         for point in extra_points:
             if exact._point_on_segment(point, a, b):
@@ -225,7 +191,7 @@ def _node_segments_oracle(segments, extra_points=()):
         ordered = sorted(cut_points, key=parameter)
         for start, end in zip(ordered, ordered[1:]):
             if start != end:
-                result.append((start, end))
+                result.append(((start, end), index))
     return result
 
 
@@ -248,24 +214,10 @@ def _arrangement(pool):
     return segments, extra
 
 
-def assert_witness_properties(context, a, b, mid, clearance):
-    """The properties relate relies on, checked in exact Fractions: the
-    lattice bound never exceeds the true minimum positive clearance, both
-    witnesses sit closer to the midpoint than half that clearance, and they
-    lie strictly left and right of the directed segment."""
-    left, right = context.side_offset_points(a, b)
-    if clearance is not None:
-        assert context.clearance_bound <= clearance, (a, b)
-        assert 4 * _squared_distance(mid, left) < clearance, (a, b)
-        assert 4 * _squared_distance(mid, right) < clearance, (a, b)
-    assert exact._orientation(a, b, left) == COUNTERCLOCKWISE, (a, b)
-    assert exact._orientation(a, b, right) == CLOCKWISE, (a, b)
-
-
-def test_fast_clearance_kernel_matches_reference():
-    """The noder on both paths equals the Fraction oracle above, and the
-    integer-grid side-offset witnesses keep the clearance properties relate
-    relies on against the exact clearance oracle."""
+def test_noder_matches_fraction_oracle():
+    """The noder on both paths equals the Fraction oracle above, sources
+    included, and every distinct arrangement edge lists exactly the input
+    segments containing it."""
     from repro.geometry.columnar import set_fast_kernels
     from repro.topology import noding
 
@@ -277,36 +229,23 @@ def test_fast_clearance_kernel_matches_reference():
         for fast in (False, True):
             previous = set_fast_kernels(fast)
             try:
-                assert noding.node_segments(segments, extra) == expected, (fast, segments)
+                with_sources = noding.node_segments_with_sources(segments, extra)
+                assert with_sources == expected, (fast, segments)
+                plain = noding.node_segments(segments, extra)
+                assert plain == [segment for segment, _ in expected], (fast, segments)
+                edges = noding.arrangement_edges(segments, extra)
             finally:
                 set_fast_kernels(previous)
-
-        nodes = set(extra)
-        for start, end in expected:
-            nodes.add(start)
-            nodes.add(end)
-        # The noded arrangement with its nodes (what relate and overlay
-        # query), and the raw segments with only the extra points as nodes:
-        # there, clearances come from the segment terms, zero-length
-        # segments and collinear pieces included.
-        for arrangement, arrangement_nodes in ((expected, nodes), (segments, set(extra))):
-            context = noding.OffsetContext(arrangement, arrangement_nodes)
-            for a, b in arrangement:
-                if a == b:
-                    continue
-                mid = Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2)
-                clearance = _clearance_oracle(mid, arrangement, arrangement_nodes)
-                assert_witness_properties(context, a, b, mid, clearance)
-
-        # relate's batch: one (midpoint, left, right) per distinct midpoint
-        # of the noded arrangement, in first-seen order.
-        context = noding.OffsetContext(expected, nodes)
-        first_segment = {}
-        for a, b in expected:
-            first_segment.setdefault(Coordinate((a.x + b.x) / 2, (a.y + b.y) / 2), (a, b))
-        assert context.face_witnesses(expected) == [
-            (mid, *context.side_offset_points(a, b)) for mid, (a, b) in first_segment.items()
-        ]
+            assert len({frozenset(edge) for edge, _ in edges}) == len(edges)
+            for (start, end), sources in edges:
+                containing = [
+                    index
+                    for index, (a, b) in enumerate(segments)
+                    if a != b
+                    and exact._point_on_segment(start, a, b)
+                    and exact._point_on_segment(end, a, b)
+                ]
+                assert sorted(sources) == containing, (fast, segments, start, end)
 
 
 def test_interned_parser_returns_equal_shared_objects():

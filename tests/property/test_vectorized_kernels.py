@@ -7,7 +7,8 @@ counterpart on mixed, EMPTY and collection geometries:
 
 * ``RingLocator.locate_many`` returns exactly ``point_in_ring`` strings,
   including on ring vertices, edge midpoints and horizontal-line
-  degeneracies;
+  degeneracies, and ``crossing_parity_many`` exactly ``crossing_parity``
+  bits, with or without the edges through each point skipped;
 * ``SegmentsLocator.contains_many`` equals the scalar
   ``point_on_segment`` loop;
 * ``segment_pair_candidates`` never prunes a pair that
@@ -54,6 +55,7 @@ from repro.geometry.model import (
     Polygon,
 )
 from repro.geometry.primitives import (
+    crossing_parity,
     point_in_ring,
     point_on_segment,
     segment_intersection,
@@ -189,6 +191,31 @@ def test_ring_locator_matches_point_in_ring():
         scalar = [point_in_ring(p, ring) for p in points]
         assert batch == scalar, (ring, points)
     assert kernel_stats()["ring_batches"] >= CASES  # the sweep took the batch path
+
+
+def test_ring_crossing_parity_skips_only_edges_through_the_point():
+    rng = random.Random(60404)
+    clear_kernel_stats()
+    for _ in range(CASES):
+        ring = _ring(rng)
+        closed = ring + [ring[0]]
+        edges = list(zip(closed, closed[1:]))
+        points = _adversarial_points(rng, ring, edges)
+        own = [
+            [j for j, (a, b) in enumerate(edges) if point_on_segment(p, a, b)]
+            for p in points
+        ]
+        scalar = [crossing_parity(p, closed) for p in points]
+        locator = RingLocator(ring)
+        none = [()] * len(points)
+        assert _with_kernels(
+            True, lambda: locator.crossing_parity_many(points, None, none)
+        ) == scalar
+        skipped = _with_kernels(
+            True, lambda: locator.crossing_parity_many(points, None, own)
+        )
+        assert skipped == scalar, (ring, points)
+    assert kernel_stats()["ring_batches"] >= 2 * CASES
 
 
 def test_segments_locator_matches_point_on_segment_loop():

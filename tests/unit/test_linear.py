@@ -59,6 +59,16 @@ class TestClosestPointAndLines:
         connector = linear.shortest_line(a, b)
         assert metrics.length(connector) == 0.0
 
+    def test_closest_pair_of_nested_geometries_is_a_common_point(self):
+        outer = load_wkt("POLYGON((0 -1,3 -1,3 2,0 2,0 -1))")
+        inner = load_wkt("POLYGON((1 0,2 0,2 1,1 1,1 0))")
+        for a, b in ((outer, inner), (inner, outer)):
+            assert metrics.length(linear.shortest_line(a, b)) == 0.0
+            assert linear.closest_point(a, b).wkt == "POINT(1 0)"
+        point = load_wkt("POINT(2 1)")
+        assert linear.closest_point(outer, point).wkt == "POINT(2 1)"
+        assert linear.closest_point(point, outer).wkt == "POINT(2 1)"
+
     def test_longest_line_between_squares(self):
         a = load_wkt("POLYGON((0 0,1 0,1 1,0 1,0 0))")
         b = load_wkt("POLYGON((3 0,4 0,4 1,3 1,3 0))")

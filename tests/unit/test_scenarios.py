@@ -2,9 +2,10 @@
 
 Covers the registry surface (names, lookup, capability gating), the
 transformation families (sampling and admissibility), every scenario's
-query builder and expectation function on hand-built specs, and the
-docs-catalog coverage contract (every registered scenario must have a
-section in docs/SCENARIOS.md).
+query builder and expectation function on hand-built specs, the KNN
+scenario end to end (the paper's Section 7 sketch), and the docs-catalog
+coverage contract (every registered scenario must have a section in
+docs/SCENARIOS.md).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from repro.core.affine import AffineTransformation
+from repro.core.affine import AffineTransformation, rigid_affine_transformation
 from repro.core.generator import DatabaseSpec
 from repro.core.oracle import AEIOracle, allocate_query_budget
 from repro.engine.database import connect
@@ -27,7 +28,9 @@ from repro.scenarios import (
     resolve_scenarios,
     scenario_names,
 )
+from repro.geometry import load_wkt
 from repro.scenarios.base import ScenarioContext
+from repro.scenarios.knn import knn_sql
 
 DOCS_CATALOG = pathlib.Path(__file__).resolve().parents[2] / "docs" / "SCENARIOS.md"
 
@@ -334,6 +337,90 @@ class TestOracleScenarioIntegration:
         # (canonicalized vs not) when one transformation serves them all
         assert len(sampled) == 3
         assert len(shared) == 2
+
+
+KNN_SPEC = DatabaseSpec(
+    tables={
+        "t1": [
+            "POINT(0 0)",
+            "POINT(3 0)",
+            "POINT(10 0)",
+            "POINT(0 7)",
+            "POLYGON((20 20,22 20,22 22,20 22,20 20))",
+        ]
+    }
+)
+
+
+def _neighbours(database, point_wkt, k, table="t1"):
+    return [row[0] for row in database.query_rows(knn_sql(table, point_wkt, k))]
+
+
+def _materialise(spec, bug_ids=()):
+    return AEIOracle(lambda: connect("postgis", bug_ids=list(bug_ids))).materialise(spec)
+
+
+class TestKNNScenario:
+    def test_knn_sql_shape(self):
+        sql = knn_sql("t1", "POINT(1 1)", 3)
+        assert "ORDER BY ST_Distance" in sql
+        assert sql.endswith("LIMIT 3")
+
+    def test_knn_query_returns_nearest_rows_in_order(self):
+        assert _neighbours(_materialise(KNN_SPEC), "POINT(1 0)", 3) == [1, 2, 4]
+
+    def test_limit_caps_the_neighbour_count(self):
+        assert len(_neighbours(_materialise(KNN_SPEC), "POINT(0 0)", 2)) == 2
+
+    def test_clean_engine_is_invariant_under_sampled_similarities(self):
+        oracle = AEIOracle(lambda: connect("postgis"), random.Random(3))
+        outcome = oracle.check(KNN_SPEC, query_count=12, scenarios=["knn"])
+        assert outcome.queries_by_scenario == {"knn": 12}
+        assert outcome.discrepancies == []
+
+    def test_every_rigid_transformation_preserves_knn(self):
+        rng = random.Random(11)
+        for _ in range(5):
+            transformation = rigid_affine_transformation(rng)
+            oracle = AEIOracle(lambda: connect("postgis"), random.Random(5))
+            outcome = oracle.check(
+                KNN_SPEC, query_count=6, transformation=transformation, scenarios=["knn"]
+            )
+            assert outcome.queries_by_scenario == {"knn": 6}
+            assert outcome.discrepancies == []
+
+    def test_shearing_is_not_a_valid_knn_transformation(self):
+        # The paper's caveat: shearing does not preserve relative distances,
+        # so even a correct engine returns other neighbours after a shear -
+        # which is why the scenario declares the similarity family and the
+        # oracle skips it under a shear.
+        oracle = AEIOracle(lambda: connect("postgis"), random.Random(9))
+        outcome = oracle.check(KNN_SPEC, query_count=6, transformation=SHEAR, scenarios=["knn"])
+        assert "knn" not in outcome.queries_by_scenario
+        sheared = DatabaseSpec(
+            tables={"t1": [SHEAR.apply(load_wkt(wkt)).wkt for wkt in KNN_SPEC.tables["t1"]]}
+        )
+        original, followup = _materialise(KNN_SPEC), _materialise(sheared)
+        rng = random.Random(9)
+        differing = 0
+        for _ in range(25):
+            point = load_wkt(f"POINT({rng.randint(-10, 10)} {rng.randint(-10, 10)})")
+            if _neighbours(original, point.wkt, 3) != _neighbours(
+                followup, SHEAR.apply(point).wkt, 3
+            ):
+                differing += 1
+        assert differing
+
+    def test_distance_recursion_bug_changes_knn_results(self):
+        # A geometry with an EMPTY element makes the buggy ST_Distance pick
+        # the wrong element, reordering the neighbour list.
+        with_empty = DatabaseSpec(
+            tables={"t1": ["MULTIPOINT((9 0),(0 0),EMPTY)", "POINT(2 0)", "POINT(6 0)"]}
+        )
+        clean = _materialise(with_empty)
+        buggy = _materialise(with_empty, ["geos-distance-empty-recursion"])
+        assert _neighbours(clean, "POINT(0 0)", 3) == [1, 2, 3]
+        assert _neighbours(buggy, "POINT(0 0)", 3) != [1, 2, 3]
 
 
 class TestDocsCatalog:
